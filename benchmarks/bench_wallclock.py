@@ -11,17 +11,12 @@ for how to refresh it.
 untimed with a streaming MetricsSink, so the archived report embeds the
 simulated-time ``MetricsSummary`` documents ``python -m repro diff``
 compares alongside the wall numbers.
-
-``test_wallclock_backend_ab`` runs the same grid once per engine backend
-(:mod:`repro.core.backend`) and archives the A/B rows — the wall-clock
-ratio of ``batched`` over ``event`` on identical simulated work.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.metrics.diff import diff_docs
 from repro.metrics.summary import validate_summary
 from repro.perf.bench import METRICS_CELLS, format_report, run_bench, validate_report
 
@@ -46,36 +41,3 @@ def test_wallclock(benchmark, bench_size, artifact_dir, save_artifact):
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-
-def test_wallclock_backend_ab(benchmark, bench_size, save_artifact):
-    """A/B the engine backends on the identical benchmark grid.
-
-    Simulated results are bit-identical across backends (the equivalence
-    suite pins that), so the only thing that can differ here is wall
-    clock: the ratio row is pure scheduler-loop overhead.  The ratio is
-    archived, not asserted — wall-clock on shared machines is too noisy
-    for a hard gate (the committed ``BENCH_perf.json`` regression test in
-    ``tests/test_perf.py`` is the calibrated gate).
-    """
-    def _ab():
-        return {
-            backend: run_bench(size=bench_size, repeats=2, backend=backend)
-            for backend in ("event", "batched")
-        }
-
-    docs = benchmark.pedantic(_ab, rounds=1, iterations=1)
-    lines = []
-    for backend, doc in docs.items():
-        assert not validate_report(doc), validate_report(doc)
-        assert doc["backend"] == backend
-        lines.append(format_report(doc))
-    event, batched = docs["event"], docs["batched"]
-    # identical simulated work is what makes the wall ratio meaningful
-    assert batched["sim_ns_total"] == event["sim_ns_total"]
-    assert batched["cells"] == event["cells"]
-    report = diff_docs(event, batched, base_label="event", new_label="batched")
-    assert not report.problems, report.problems
-    ratio = event["wall_s"] / batched["wall_s"]
-    lines.append(f"\nbatched vs event: {ratio:.2f}x wall-clock")
-    lines.append(report.format())
-    save_artifact("bench_wallclock_backend_ab", "\n".join(lines))

@@ -22,7 +22,7 @@ import numpy as np
 from repro import PERSIST_CTA, PERSIST_WARP
 from repro.apps import sssp
 from repro.core.dag import Dag, DagKernel
-from repro.core.scheduler import run
+from repro.core.policy import run_policy
 from repro.graph.generators import road_network
 
 
@@ -73,7 +73,7 @@ def wavefront_demo() -> None:
         value[node] = max(north, west) + 1.0
 
     kernel = DagKernel(dag, compute_fn=compute, cost_fn=lambda v: 6)
-    result = run(kernel, PERSIST_WARP)
+    result = run_policy(kernel, PERSIST_WARP)
     assert kernel.all_executed()
     assert kernel.respects_dependencies()
     # the DP recurrence gives value[(i,j)] = i + j + 1 when dependencies held

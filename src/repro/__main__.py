@@ -34,9 +34,6 @@ Usage::
     python -m repro diff BENCH_service.json committed/BENCH_service.json
 
 Common options: ``--size {tiny,small,default}`` (default ``small``).
-``run``, ``check`` and ``perf`` also take ``--backend {event,batched}``
-(the engine inner loop, :mod:`repro.core.backend`): simulated results are
-bit-identical across backends, only wall-clock changes.
 
 The ``trace`` subcommand runs one (app, dataset, config) cell with a
 :class:`repro.obs.Collector` attached, writes a Chrome ``trace_event``
@@ -137,7 +134,7 @@ def _add_device_args(parser: argparse.ArgumentParser) -> None:
     ``--devices N`` (N > 1) rebases every engine-level config onto the
     distributed strategy (:mod:`repro.core.distributed`): the graph is
     partitioned across N simulated GPUs and cross-device work pays the
-    interconnect.  Unlike ``--backend`` this changes simulated results.
+    interconnect.  This changes simulated results.
     """
     from repro.graph.partition import PARTITION_CHOICES
 
@@ -172,12 +169,6 @@ def _build_run_parser() -> argparse.ArgumentParser:
         help="named configuration (default: persist-CTA; see --list-configs)",
     )
     parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["event", "batched"],
-        help="engine inner loop (bit-identical results; default: the config's own)",
-    )
     _add_device_args(parser)
     parser.add_argument(
         "--edits",
@@ -242,18 +233,15 @@ def _run_run(argv: list[str]) -> int:
         return _run_replay(args)
     config = variant_by_name(args.config)
     dataset = resolve_dataset(args.dataset)
-    lab = Lab(
-        size=args.size, backend=args.backend,
-        devices=args.devices, partition=args.partition,
-    )
+    lab = Lab(size=args.size, devices=args.devices, partition=args.partition)
     result = lab.run(args.app, dataset, config.name, permuted=args.permuted)
 
-    backend_tag = f" backend={args.backend}" if args.backend else ""
+    device_tag = ""
     if args.devices and args.devices > 1:
-        backend_tag += f" devices={args.devices}"
+        device_tag = f" devices={args.devices}"
         if args.partition:
-            backend_tag += f" partition={args.partition}"
-    print(f"{args.app} on {dataset} [{config.name}] size={args.size}{backend_tag}")
+            device_tag += f" partition={args.partition}"
+    print(f"{args.app} on {dataset} [{config.name}] size={args.size}{device_tag}")
     print(f"  elapsed          {result.elapsed_ms:.3f} ms")
     print(f"  work units       {result.work_units:.0f}")
     print(f"  items retired    {result.items_retired}")
@@ -298,14 +286,11 @@ def _run_replay(args) -> int:
     edits = args.edits or DEFAULT_EDITS
     config = variant_by_name(args.config)
     graph = _check_graph(args.dataset, args.size)
-    dres = replay_app(
-        args.app, graph, config, edits, backend=args.backend, validate=True,
-    )
+    dres = replay_app(args.app, graph, config, edits, validate=True)
 
-    backend_tag = f" backend={args.backend}" if args.backend else ""
     print(
         f"{args.app} on {graph.name} [{config.name}] edits={edits} "
-        f"size={args.size}{backend_tag}"
+        f"size={args.size}"
     )
     print("  epoch  +ins  -del  elapsed_ms     work  retired  dataset")
     for e in dres.epochs:
@@ -360,12 +345,6 @@ def _build_check_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["event", "batched"],
-        help="engine inner loop to validate (default: each config's own)",
-    )
     _add_device_args(parser)
     return parser
 
@@ -415,13 +394,6 @@ def _run_check(argv: list[str]) -> int:
     else:
         configs = [
             cfg for cfg in CONFIGS.values() if not policy_for(cfg).app_level
-        ]
-    if args.backend:
-        # rebasing the configs (rather than threading a run_app keyword)
-        # routes the override through the oracle checks AND the fuzzer below
-        configs = [
-            cfg if policy_for(cfg).app_level else cfg.with_overrides(backend=args.backend)
-            for cfg in configs
         ]
     if args.devices and args.devices > 1:
         from repro.core.config import KernelStrategy
@@ -533,12 +505,6 @@ def _build_perf_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["event", "batched"],
-        help="engine inner loop for every timed cell (default: preset default)",
-    )
     parser.add_argument("--repeats", type=int, default=3, help="timed repeats (default 3)")
     parser.add_argument(
         "--workers",
@@ -589,7 +555,6 @@ def _run_perf(argv: list[str]) -> int:
         workers=args.workers,
         pre_wall_s=args.pre_wall_s,
         metrics=args.metrics,
-        backend=args.backend,
         devices=args.devices,
         partition=args.partition,
     )
@@ -902,7 +867,6 @@ def _build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
     parser.add_argument("--seed", type=int, default=0, help="schedule-perturbation seed")
     parser.add_argument("--edits", default=None, metavar="SPEC", help="dynamic edit script")
-    parser.add_argument("--backend", default=None, choices=["event", "batched"])
     _add_device_args(parser)
     parser.add_argument("--permuted", action="store_true")
     parser.add_argument("--tenant", default="default")
@@ -943,7 +907,7 @@ def _run_submit(argv: list[str]) -> int:
         }
         if args.seed:
             job["seed"] = args.seed
-        for name in ("edits", "backend", "devices", "partition"):
+        for name in ("edits", "devices", "partition"):
             value = getattr(args, name)
             if value is not None:
                 job[name] = value

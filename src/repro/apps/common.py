@@ -191,7 +191,6 @@ def run_app(
     validate: bool = False,
     metrics=False,
     perturb=None,
-    backend: str | None = None,
     **params,
 ) -> AppResult:
     """Run application ``app`` on ``graph`` under ``config``'s policy.
@@ -222,15 +221,7 @@ def run_app(
     ``perturb`` is the engine's pop-stagger hook (see
     :meth:`~repro.core.engine.ExecutionEngine.pop_stagger`); it requires
     an engine-level policy.
-
-    ``backend`` overrides the engine inner loop
-    (:mod:`repro.core.backend`; ``None`` keeps ``config.backend``).  The
-    configuration's name is untouched, so results and digests stay
-    comparable across backends — every backend is observably
-    bit-identical.  App-level policies (BSP) have no engine and ignore it.
     """
-    if backend is not None and backend != config.backend:
-        config = config.with_overrides(backend=backend)
     adapter = get_adapter(app)
     policy = policy_for(config)
     if policy.app_level:

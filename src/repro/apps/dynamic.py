@@ -440,7 +440,6 @@ def replay_app(
     sink=None,
     validate: bool = False,
     perturb=None,
-    backend: str | None = None,
     **params,
 ) -> DynamicAppResult:
     """Replay an edit script through an incremental app, epoch by epoch.
@@ -450,7 +449,7 @@ def replay_app(
     is carried through epoch 0 plus one epoch per edit batch
     (:func:`repro.core.dynamic.iterate_epochs`), all epochs sharing one
     ``sink`` — so a single :class:`~repro.obs.collector.Collector` digest
-    pins the entire replay, bit-identical across engine backends.
+    pins the entire replay.
 
     ``validate=True`` is the differential oracle: after **every** epoch
     the kernel's output is checked against the app's oracle on that
@@ -463,8 +462,6 @@ def replay_app(
     ``edits`` is an :class:`~repro.graph.delta.EditScript` or a spec
     string like ``"3x32@7"`` (see :func:`~repro.graph.delta.parse_edits`).
     """
-    if backend is not None and backend != config.backend:
-        config = config.with_overrides(backend=backend)
     adapter = get_adapter(app)
     if not adapter.dynamic:
         raise ValueError(

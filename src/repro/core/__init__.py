@@ -12,9 +12,9 @@ The design space of Section 3 maps onto :class:`AtosConfig`:
   global barrier, so cross-frontier asynchrony (and its overwork) emerges
   from the simulated timing.
 
-:func:`run` executes an application kernel (see :class:`TaskKernel`) under a
-configuration and returns a :class:`RunResult` with timing, workload, queue
-and trace statistics.
+:func:`run_policy` executes an application kernel (see :class:`TaskKernel`)
+under a configuration and returns a :class:`RunResult` with timing,
+workload, queue and trace statistics.
 """
 
 from repro.core.config import (
@@ -40,14 +40,7 @@ from repro.core.policy import (
     register_policy,
     run_policy,
 )
-from repro.core.engine import ExecutionEngine
-from repro.core.scheduler import (
-    RunResult,
-    run,
-    run_discrete,
-    run_hybrid,
-    run_persistent,
-)
+from repro.core.engine import ExecutionEngine, RunResult
 from repro.core.api import Atos
 from repro.core.dag import Dag, DagKernel, JoinCounters
 
@@ -67,10 +60,6 @@ __all__ = [
     "TaskKernel",
     "CompletionResult",
     "RunResult",
-    "run",
-    "run_persistent",
-    "run_discrete",
-    "run_hybrid",
     "ExecutionPolicy",
     "ExecutionEngine",
     "PolicyOutcome",

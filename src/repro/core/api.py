@@ -10,7 +10,7 @@ The CUDA framework exposes::
 :class:`Atos` is the Python equivalent: construct it with queue parameters,
 then launch an application kernel at thread/warp/CTA granularity.  Each
 ``launch_*`` builds the corresponding :class:`~repro.core.config.AtosConfig`
-and drives the scheduler, returning the :class:`~repro.core.scheduler.RunResult`.
+and drives the scheduler, returning the :class:`~repro.core.engine.RunResult`.
 
 ``f1`` is the application's :class:`~repro.core.kernel.TaskKernel` (the
 pop-processing function); the CUDA API's ``f2`` (what a worker runs when a
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from repro.core.config import AtosConfig, KernelStrategy
 from repro.core.kernel import TaskKernel
-from repro.core.scheduler import RunResult, run
+from repro.core.engine import RunResult
+from repro.core.policy import run_policy
 from repro.obs.events import EventSink
 from repro.sim.spec import V100_SPEC, GpuSpec
 
@@ -77,7 +78,7 @@ class Atos:
 
     # ------------------------------------------------------------------
     def _launch(self, kernel: TaskKernel, config: AtosConfig) -> RunResult:
-        result = run(
+        result = run_policy(
             kernel, config, spec=self.spec, max_tasks=self.max_tasks, sink=self.sink
         )
         self.last_result = result

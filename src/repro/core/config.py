@@ -104,11 +104,6 @@ class AtosConfig:
     #: grows beyond this many items.  0 = auto (4 × low watermark); must be
     #: ≥ the low watermark when both are set (hysteresis band)
     hybrid_high_watermark: int = 0
-    #: engine inner-loop implementation (:mod:`repro.core.backend`):
-    #: "event" pops the heap one event at a time, "batched" buckets
-    #: read-windows into one pass.  Every backend is bit-identical on the
-    #: observable event stream; this knob only trades wall-clock.
-    backend: str = "event"
     #: simulated device count.  1 = the classic single-device engine;
     #: > 1 requires the distributed strategy (per-device worklists, the
     #: partition below, interconnect-priced forwarding)
@@ -139,14 +134,6 @@ class AtosConfig:
             raise ValueError("num_queues must be >= 1")
         if self.worklist not in ("shared", "stealing"):
             raise ValueError('worklist must be "shared" or "stealing"')
-        # late import: the backend registry depends on nothing here, but
-        # importing it at module scope would pin an import order
-        from repro.core.backend import BACKENDS
-
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: {sorted(BACKENDS)}"
-            )
         if self.hybrid_low_watermark < 0 or self.hybrid_high_watermark < 0:
             raise ValueError("hybrid watermarks must be non-negative")
         if (
@@ -234,7 +221,7 @@ class AtosConfig:
         behavior field matches; the service's result cache
         (:mod:`repro.service.cache`) keys on this, so renaming a config
         never duplicates cache entries and changing any real knob
-        (backend, devices, watermarks, ...) never aliases them.
+        (devices, watermarks, ...) never aliases them.
         """
         payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

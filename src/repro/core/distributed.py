@@ -7,11 +7,14 @@ a :func:`~repro.graph.partition.partition_graph` placement, completions
 forward new work to its owner device over the interconnect, and idle
 devices pull work back with interconnect-priced steals.
 
-Everything shares one event heap (the engine's
-:class:`~repro.sim.engine.EventLoop`), so cross-device causality is free:
-a remote push is an ``ARRIVE`` event scheduled at its link-transfer
-completion, and the destination's parked workers wake when it lands — no
-per-device clock skew to reconcile.
+Everything shares one event heap and one drain loop
+(:meth:`~repro.core.engine.ExecutionEngine.drain_events`), so
+cross-device causality is free: a remote push is an ``ARRIVE`` event
+scheduled at its link-transfer completion, and the destination's parked
+workers wake when it lands — no per-device clock skew to reconcile.
+:class:`DeviceEngine` supplies the device-aware versions of the loop's
+generic steps (pop, push, completion tail, arrival); the policy keeps the
+setup and the outer wake-all / ``final_check`` loop.
 
 Execution model per device:
 
@@ -39,12 +42,17 @@ the golden-digest matrix pins that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from heapq import heappop, heappush
+from heapq import heappush
 
 import numpy as np
 
-from repro.core.backend import _DONE, _READ, SchedulerError
-from repro.core.engine import ExecutionEngine, _worker_slots
+from repro.core.engine import (
+    _ARRIVE,
+    _READ,
+    ExecutionEngine,
+    SchedulerError,
+    _worker_slots,
+)
 from repro.core.policy import (
     ExecutionPolicy,
     PolicyOutcome,
@@ -52,18 +60,13 @@ from repro.core.policy import (
 )
 from repro.core.config import KernelStrategy
 from repro.graph.partition import Partition, partition_graph, resolve_partition_choice
-from repro.obs.events import KernelLaunch, TaskComplete, TaskPop, TaskRead
+from repro.obs.events import KernelLaunch, TaskPop
 from repro.queueing.device import DeviceWorklist
 from repro.sim.cost import make_cost_fn
 from repro.sim.memory import BandwidthServer
-from repro.sim.spec import ClusterSpec, GpuSpec, cluster_for
+from repro.sim.spec import cluster_for
 
-__all__ = ["DeviceState", "DistributedPolicy"]
-
-#: third event tag next to the backend's _READ/_DONE: a remote-push
-#: arrival landing items in a device's deque.  The flat 6-tuple layout is
-#: shared — (t, seq, _ARRIVE, dst_device, items, (src_device, transfer_ns))
-_ARRIVE = 2
+__all__ = ["DeviceState", "DeviceEngine", "DistributedPolicy"]
 
 
 @dataclass
@@ -71,7 +74,6 @@ class DeviceState:
     """Per-device simulated hardware plus scheduling state."""
 
     index: int
-    spec: GpuSpec
     mem: BandwidthServer
     cost_fn: object
     slots: int
@@ -97,12 +99,142 @@ class DeviceState:
         }
 
 
+class DeviceEngine(ExecutionEngine):
+    """The engine with device-aware generic steps.
+
+    :class:`DistributedPolicy` sets ``devices``, ``device_of`` (global
+    worker id -> its :class:`DeviceState`), ``partition`` and the
+    :class:`DeviceWorklist` queue before the first drain.  The engine's
+    single-queue fast path never applies, so every completion runs
+    through the overrides below.
+    """
+
+    devices: list[DeviceState]
+    device_of: list[DeviceState]
+    partition: Partition
+
+    def push(self, worker: int, items: np.ndarray, t: float) -> None:
+        """Send a completion's pushes home: local free, remote via link."""
+        d = self.device_of[worker]
+        wl = self.queue
+        owners = self.partition.owner_of(items)
+        local = items[owners == d.index]
+        if local.size:
+            wl.push_local(d.index, local, t)
+        if local.size == items.size:
+            return
+        for dst in np.unique(owners):
+            dst = int(dst)
+            if dst == d.index:
+                continue
+            batch = items[owners == dst]
+            arrive, transfer_ns = wl.send(d.index, dst, batch, t)
+            s = self.seq
+            heappush(self.heap, (arrive, s, _ARRIVE, dst, batch, (d.index, transfer_ns)))
+            self.seq = s + 1
+
+    def arrive(self, dst: int, items: np.ndarray, t: float, x: tuple) -> None:
+        """A remote push lands in device ``dst``'s deque; its workers wake."""
+        src, transfer_ns = x
+        self.queue.deliver(src, dst, items, t, transfer_ns)
+        self.wake_device(self.devices[dst], t)
+
+    def reissue(
+        self, worker: int, tpop: float, t: float, retired: int, work: float
+    ) -> None:
+        """Charge the completion to its device, pop again (steal gate
+        applies), wake the device's parked workers and poke a starved one."""
+        d = self.device_of[worker]
+        d.tasks += 1
+        d.items_retired += retired
+        d.work_units += work
+        self.try_pop(worker, tpop)
+        self.wake_device(d, t)
+        self.poke_idle_devices(t)
+
+    def try_pop(self, worker: int, t: float, *, force_steal: bool = False) -> bool:
+        """One pop attempt for ``worker``; schedules its READ on success."""
+        d = self.device_of[worker]
+        wl = self.queue
+        allow = force_steal or d.idle_streak >= self.config.steal_idle_threshold
+        items, t_acq = wl.pop(self._fetch, t, home=d.index, allow_steal=allow)
+        n = int(items.size)
+        if n == 0:
+            d.idle_streak += 1
+            d.idle.append(worker)
+            return False
+        d.idle_streak = 0
+        seq = self.pop_seq + 1
+        self.pop_seq = seq
+        self.total_tasks += 1
+        if self.sink is not None:
+            self.sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
+        if self.total_tasks > self.max_tasks:
+            raise SchedulerError(
+                f"run exceeded max_tasks={self.max_tasks}; "
+                "the application appears not to converge"
+            )
+        edge_work, max_degree = self.kernel.work_estimate(items)
+        h = (worker * 2654435761 + (seq + 7919) * 40503 + 12345) & 0xFFFF
+        finish = d.cost_fn(
+            t_acq, n, edge_work, max_degree, 1.0 + self._dur_jit * (h / 65536.0)
+        )
+        # remote-data-access cost: items owned elsewhere (stolen or
+        # steal-banked loot) read their adjacency over the owner's link
+        owners = self.partition.owner_of(items)
+        remote = owners != d.index
+        if remote.any():
+            counts = np.bincount(owners[remote], minlength=len(self.devices))
+            latency = wl.interconnect.latency_ns
+            for o in np.flatnonzero(counts):
+                share = (edge_work + n) * counts[o] / n
+                link_end = wl.reserve_link(int(o), d.index, share, t_acq)
+                if link_end + latency > finish:
+                    finish = link_end + latency
+        t_read = finish - self.read_lead_ns
+        if t_read < t_acq:
+            t_read = t_acq
+        s = self.seq
+        heappush(self.heap, (t_read, s, _READ, worker, items, finish))
+        self.seq = s + 1
+        self.in_flight += 1
+        return True
+
+    def wake_device(self, d: DeviceState, t: float) -> None:
+        """Hand a device's queued items to its parked workers."""
+        deque = self.queue.deques[d.index]
+        while d.idle and deque.size > 0:
+            worker = d.idle.pop()
+            if not self.try_pop(worker, t + self.pop_stagger(worker, self.pop_seq)):
+                break
+
+    def poke_idle_devices(self, t: float) -> None:
+        """Give one starved device a steal attempt (bounded: one per event).
+
+        Workers are event-driven: once parked they never poll, so without
+        a poke a device that drained early would idle forever while its
+        peers are loaded.  Each completion elsewhere pokes at most one
+        fully-idle device whose deque is empty; the woken worker's pop
+        runs with stealing allowed and pays the normal probe/transfer
+        costs (and re-parks if the steal-ratio gate refuses every victim).
+        """
+        wl = self.queue
+        if len(self.devices) == 1 or wl.size == 0:
+            return
+        for d in self.devices:
+            if d.idle and wl.deques[d.index].size == 0:
+                worker = d.idle.pop()
+                self.try_pop(worker, t, force_steal=True)
+                return
+
+
 class DistributedPolicy(ExecutionPolicy):
     """Per-device persistent pools + partition-routed forwarding/stealing."""
 
     name = "distributed"
+    engine = DeviceEngine
 
-    def execute(self, eng: ExecutionEngine) -> PolicyOutcome:
+    def execute(self, eng: DeviceEngine) -> PolicyOutcome:
         config, kernel, sink = eng.config, eng.kernel, eng.sink
         graph = getattr(kernel, "graph", None)
         if graph is None:
@@ -113,33 +245,32 @@ class DistributedPolicy(ExecutionPolicy):
         cluster = cluster_for(config.devices, config.interconnect, eng.spec)
         ndev = cluster.num_devices
         kind, method = resolve_partition_choice(config.partition)
-        part = partition_graph(graph, ndev, kind=kind, method=method)
+        eng.partition = partition_graph(graph, ndev, kind=kind, method=method)
         eng.set_mode(persistent=True)
 
         devs: list[DeviceState] = []
-        dev_of: list[int] = []
+        dev_of: list[DeviceState] = []
         base = 0
         for i, dspec in enumerate(cluster.devices):
             mem = BandwidthServer(dspec.mem_edges_per_ns)
             slots, occ = _worker_slots(dspec, config)
-            devs.append(
-                DeviceState(
-                    index=i,
-                    spec=dspec,
-                    mem=mem,
-                    cost_fn=make_cost_fn(
-                        dspec,
-                        mem,
-                        worker_threads=config.worker_threads,
-                        use_internal_lb=config.internal_lb,
-                    ),
-                    slots=slots,
-                    base=base,
-                    occupancy=occ,
-                )
+            d = DeviceState(
+                index=i,
+                mem=mem,
+                cost_fn=make_cost_fn(
+                    dspec,
+                    mem,
+                    worker_threads=config.worker_threads,
+                    use_internal_lb=config.internal_lb,
+                ),
+                slots=slots,
+                base=base,
+                occupancy=occ,
             )
-            dev_of.extend([i] * slots)
+            devs.append(d)
+            dev_of.extend([d] * slots)
             base += slots
+        eng.devices, eng.device_of = devs, dev_of
         eng.slots = base
         eng.occupancy = sum(d.occupancy * d.slots for d in devs) / base
 
@@ -149,8 +280,8 @@ class DistributedPolicy(ExecutionPolicy):
         avg_degree = graph.num_edges / max(1, graph.num_vertices)
         item_work_ns = (1.0 + avg_degree) / cluster.devices[0].mem_edges_per_ns
 
-        wl = DeviceWorklist(
-            part,
+        wl = eng.queue = DeviceWorklist(
+            eng.partition,
             cluster.interconnect,
             capacity=config.queue_capacity,
             atomic_ns=eng.spec.atomic_queue_ns,
@@ -160,11 +291,6 @@ class DistributedPolicy(ExecutionPolicy):
             steal_ratio=config.steal_ratio,
             item_work_ns=item_work_ns,
         )
-        eng.queue = wl
-        # the engine's single-queue fast paths don't apply: this policy
-        # drives the worklist itself
-        eng._qpop = eng._qpush = eng._singleq = None
-        self._run_state = (eng, wl, devs, dev_of, part, ndev)
 
         # launch: one kernel per device, concurrently, at t=0
         t0 = eng.spec.kernel_launch_ns
@@ -178,11 +304,28 @@ class DistributedPolicy(ExecutionPolicy):
             for local in range(d.slots):
                 w = d.base + local
                 if local < needed:
-                    self._try_pop(w, t0 + eng.pop_stagger(w, 0))
+                    eng.try_pop(w, t0 + eng.pop_stagger(w, 0))
                 else:
                     d.idle.append(w)
 
-        end = self._drain(t0)
+        end = t0
+        while True:
+            end = max(end, eng.drain_events(push_to_queue=True))
+            # heap empty: any parked work means every owner device idled
+            # before its items landed — wake them and keep draining
+            if wl.size:
+                for d in devs:
+                    eng.wake_device(d, eng.now)
+                if eng.heap:
+                    continue
+            extra = kernel.final_check(end)
+            if extra.size == 0:
+                break
+            wl.push(extra, end)  # host-side refill, owner-routed
+            for d in devs:
+                eng.wake_device(d, end)
+            if not eng.heap:
+                break
         eng.device_stats = [d.snapshot() for d in devs]
         # engine-level memory utilization = mean device-HBM utilization
         eng.mem.busy_time = sum(d.mem.busy_time for d in devs) / ndev
@@ -190,184 +333,6 @@ class DistributedPolicy(ExecutionPolicy):
         return PolicyOutcome(
             elapsed_ns=end, kernel_launches=ndev, generations=1
         )
-
-    # ------------------------------------------------------------------
-    def _drain(self, t0: float) -> float:
-        """Process READ/DONE/ARRIVE events to global quiescence."""
-        eng, wl, devs, dev_of, part, ndev = self._run_state
-        kernel, sink = eng.kernel, eng.sink
-        loop = eng.loop
-        heap = loop._heap
-        trace = eng.trace
-        end = t0
-        while True:
-            while heap:
-                t, _, tag, worker, items, x = heappop(heap)
-                loop.now = t
-                if tag == _READ:
-                    if sink is not None:
-                        sink.emit(TaskRead(t=t, worker=worker, items=int(items.size)))
-                    payload = kernel.on_read(items, t)
-                    s = loop._seq
-                    heappush(heap, (x, s, _DONE, worker, items, payload))
-                    loop._seq = s + 1
-                    continue
-                if tag == _ARRIVE:
-                    src, transfer_ns = x
-                    d = devs[worker]
-                    wl.deliver(src, d.index, items, t, transfer_ns)
-                    self._wake_device(d, t)
-                    continue
-                # DONE
-                eng.in_flight -= 1
-                result = kernel.on_complete(items, x, t)
-                if t > end:
-                    end = t
-                d = devs[dev_of[worker]]
-                retired = result.items_retired
-                work = result.work_units
-                new_items = result.new_items
-                eng.items_retired += retired
-                eng.work_units += work
-                d.tasks += 1
-                d.items_retired += retired
-                d.work_units += work
-                trace.times.append(t)
-                trace.items.append(retired)
-                trace.work.append(work)
-                if sink is not None:
-                    sink.emit(
-                        TaskComplete(
-                            t=t,
-                            worker=worker,
-                            items=int(items.size),
-                            retired=retired,
-                            pushed=int(new_items.size),
-                            work=work,
-                        )
-                    )
-                if new_items.size:
-                    self._route_pushes(d, new_items, t)
-                # the completing worker pops again (steal gate applies)
-                self._try_pop(worker, t + eng.pop_stagger(worker, eng.pop_seq))
-                self._wake_device(d, t)
-                self._poke_idle_devices(t)
-            # heap empty: any parked work means every owner device idled
-            # before its items landed — wake them and keep draining
-            if wl.size:
-                for d in devs:
-                    self._wake_device(d, loop.now)
-                if heap:
-                    continue
-            extra = kernel.final_check(end)
-            if extra.size == 0:
-                return end
-            wl.push(extra, end)  # host-side refill, owner-routed
-            for d in devs:
-                self._wake_device(d, end)
-            if not heap:
-                return end
-
-    # ------------------------------------------------------------------
-    def _route_pushes(self, d: DeviceState, new_items: np.ndarray, t: float) -> None:
-        """Send a completion's pushes home: local free, remote via link."""
-        eng, wl, devs, dev_of, part, ndev = self._run_state
-        owners = part.owner_of(new_items)
-        local = new_items[owners == d.index]
-        if local.size:
-            wl.push_local(d.index, local, t)
-        if local.size == new_items.size:
-            return
-        loop = eng.loop
-        for dst in np.unique(owners):
-            dst = int(dst)
-            if dst == d.index:
-                continue
-            batch = new_items[owners == dst]
-            arrive, transfer_ns = wl.send(d.index, dst, batch, t)
-            s = loop._seq
-            heappush(
-                loop._heap,
-                (arrive, s, _ARRIVE, dst, batch, (d.index, transfer_ns)),
-            )
-            loop._seq = s + 1
-
-    def _try_pop(self, worker: int, t: float, *, force_steal: bool = False) -> bool:
-        """One pop attempt for ``worker``; schedules its READ on success."""
-        eng, wl, devs, dev_of, part, ndev = self._run_state
-        d = devs[dev_of[worker]]
-        allow = force_steal or d.idle_streak >= eng.config.steal_idle_threshold
-        items, t_acq = wl.pop(eng._fetch, t, home=d.index, allow_steal=allow)
-        n = int(items.size)
-        if n == 0:
-            d.idle_streak += 1
-            d.idle.append(worker)
-            return False
-        d.idle_streak = 0
-        seq = eng.pop_seq + 1
-        eng.pop_seq = seq
-        eng.total_tasks += 1
-        if eng.sink is not None:
-            eng.sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
-        if eng.total_tasks > eng.max_tasks:
-            raise SchedulerError(
-                f"run exceeded max_tasks={eng.max_tasks}; "
-                "the application appears not to converge"
-            )
-        edge_work, max_degree = eng.kernel.work_estimate(items)
-        h = (worker * 2654435761 + (seq + 7919) * 40503 + 12345) & 0xFFFF
-        finish = d.cost_fn(
-            t_acq, n, edge_work, max_degree, 1.0 + eng._dur_jit * (h / 65536.0)
-        )
-        # remote-data-access cost: items owned elsewhere (stolen or
-        # steal-banked loot) read their adjacency over the owner's link
-        owners = part.owner_of(items)
-        remote = owners != d.index
-        if remote.any():
-            counts = np.bincount(owners[remote], minlength=ndev)
-            latency = wl.interconnect.latency_ns
-            for o in np.flatnonzero(counts):
-                share = (edge_work + n) * counts[o] / n
-                link_end = wl.reserve_link(int(o), d.index, share, t_acq)
-                if link_end + latency > finish:
-                    finish = link_end + latency
-        t_read = finish - eng.read_lead_ns
-        if t_read < t_acq:
-            t_read = t_acq
-        loop = eng.loop
-        s = loop._seq
-        heappush(loop._heap, (t_read, s, _READ, worker, items, finish))
-        loop._seq = s + 1
-        eng.in_flight += 1
-        return True
-
-    def _wake_device(self, d: DeviceState, t: float) -> None:
-        """Hand a device's queued items to its parked workers."""
-        eng, wl, devs, dev_of, part, ndev = self._run_state
-        deque = wl.deques[d.index]
-        while d.idle and deque.size > 0:
-            worker = d.idle.pop()
-            if not self._try_pop(worker, t + eng.pop_stagger(worker, eng.pop_seq)):
-                break
-
-    def _poke_idle_devices(self, t: float) -> None:
-        """Give one starved device a steal attempt (bounded: one per event).
-
-        Workers are event-driven: once parked they never poll, so without
-        a poke a device that drained early would idle forever while its
-        peers are loaded.  Each completion elsewhere pokes at most one
-        fully-idle device whose deque is empty; the woken worker's pop
-        runs with stealing allowed and pays the normal probe/transfer
-        costs (and re-parks if the steal-ratio gate refuses every victim).
-        """
-        eng, wl, devs, dev_of, part, ndev = self._run_state
-        if ndev == 1 or wl.size == 0:
-            return
-        for d in devs:
-            if d.idle and wl.deques[d.index].size == 0:
-                worker = d.idle.pop()
-                self._try_pop(worker, t, force_steal=True)
-                return
 
 
 register_policy(KernelStrategy.DISTRIBUTED)(DistributedPolicy)

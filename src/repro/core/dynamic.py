@@ -28,8 +28,8 @@ boundaries are quiescent (nothing leaks across) before resetting its
 per-epoch clocks.
 
 Everything here is policy-agnostic: each epoch runs under whatever
-engine-level policy the config names, on either engine backend, with the
-fuzzer's ``perturb`` hook threaded through every epoch.
+engine-level policy the config names, with the fuzzer's ``perturb`` hook
+threaded through every epoch.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Historically the scheduler was two monolithic functions
 class.  This module is that machinery factored out behind a neutral
 surface so that *policies* (:mod:`repro.core.policy`) can compose it:
 
-* :class:`ExecutionEngine` owns the simulated hardware (event loop,
+* :class:`ExecutionEngine` owns the simulated hardware (event heap,
   bandwidth server, occupancy-derived worker slots), the live
   :class:`~repro.queueing.protocol.Worklist`, and the run accumulators;
 * the engine is **mode-switchable**: :meth:`ExecutionEngine.set_mode`
@@ -23,6 +23,14 @@ surface so that *policies* (:mod:`repro.core.policy`) can compose it:
   (:mod:`repro.check.fuzz`) uses to explore alternative, model-legal
   interleavings without touching any other mechanism.
 
+:meth:`ExecutionEngine.drain_events` is the simulator's only event loop:
+every policy (the multi-device one included) drains the engine's heap
+through it.  Its single-queue, sink-less path is inlined end to end; every
+other configuration goes through the generic steps (:meth:`~ExecutionEngine.push`,
+:meth:`~ExecutionEngine.try_pop`, :meth:`~ExecutionEngine.reissue`), which
+:class:`~repro.core.distributed.DeviceEngine` overrides to route work
+between devices.
+
 Everything observable (event order, timestamps, counters) is identical to
 the pre-refactor ``_Engine`` for the persistent and discrete policies;
 ``tests/test_equivalence.py`` pins that with obs digests.
@@ -31,29 +39,37 @@ the pre-refactor ``_Engine`` for the persistent and discrete policies;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
 
-from repro.core.backend import _READ, SchedulerError, backend_for
 from repro.core.config import AtosConfig
 from repro.core.kernel import TaskKernel
-from repro.obs.events import EventSink, TaskPop
+from repro.obs.events import EventSink, TaskComplete, TaskPop, TaskRead
 from repro.queueing.broker import QueueBroker
 from repro.queueing.protocol import Worklist
 from repro.queueing.stealing import StealingWorklist
 from repro.sim.cost import make_cost_fn
-from repro.sim.engine import EventLoop
 from repro.sim.memory import BandwidthServer
 from repro.sim.occupancy import occupancy_for
 from repro.sim.spec import GpuSpec
 from repro.sim.trace import ThroughputTrace
 
-# SchedulerError moved to repro.core.backend with the drain loops; it is
-# re-exported here because policies and applications catch it from this
-# module's public surface.
 __all__ = ["RunResult", "SchedulerError", "ExecutionEngine"]
+
+# Events are flat 6-tuples ``(t, seq, tag, worker, items, x)``: ``x`` is the
+# finish time of a READ, the on-read payload of a DONE and ``(src_device,
+# transfer_ns)`` of an ARRIVE (a remote push landing in device ``worker``'s
+# deque; only DeviceEngine schedules those).  ``seq`` is unique, so heap
+# comparisons never reach the later fields.
+_READ = 0
+_DONE = 1
+_ARRIVE = 2
+
+
+class SchedulerError(RuntimeError):
+    """Raised when a run exceeds its task budget (diverging application)."""
 
 
 @dataclass
@@ -158,7 +174,12 @@ class ExecutionEngine:
         self.sink = sink
         self.perturb = perturb
         self.mem = BandwidthServer(spec.mem_edges_per_ns)
-        self.loop = EventLoop()
+        # the event heap, its tie-break counter (events at the same time pop
+        # in scheduling order, which makes every run bit-deterministic) and
+        # the time of the most recently popped event
+        self.heap: list[tuple] = []
+        self.seq = 0
+        self.now = 0.0
         self.trace = ThroughputTrace()
         self.slots, self.occupancy = _worker_slots(spec, config)
         self.idle: list[int] = []
@@ -209,10 +230,6 @@ class ExecutionEngine:
         self._qpop = None
         self._qpush = None
         self._singleq = None
-        # the inner event loop (repro.core.backend): "event" pops the heap
-        # one event at a time, "batched" buckets read-windows.  Resolved
-        # once — the registry lookup must not sit on the drain path.
-        self._backend = backend_for(config.backend)
 
     # ------------------------------------------------------------------
     def set_mode(self, *, persistent: bool) -> None:
@@ -356,17 +373,30 @@ class ExecutionEngine:
         t_read = finish - self.read_lead_ns
         if t_read < t_acq:
             t_read = t_acq
-        # inlined loop.schedule: t_read >= t_acq >= loop.now by construction
-        # (queue acquisition and cost model never move time backwards).
-        # Events are flat 6-tuples (t, seq, tag, worker, items, x) — one
-        # allocation per event instead of a nested payload tuple; the unique
-        # seq means heap comparisons never reach the later fields.
-        loop = self.loop
-        s = loop._seq
-        heappush(loop._heap, (t_read, s, _READ, worker, items, finish))
-        loop._seq = s + 1
+        # t_read >= t_acq >= now by construction (queue acquisition and the
+        # cost model never move time backwards)
+        s = self.seq
+        heappush(self.heap, (t_read, s, _READ, worker, items, finish))
+        self.seq = s + 1
         self.in_flight += 1
         return True
+
+    def push(self, worker: int, items: np.ndarray, t: float) -> None:
+        """Generic push step: a completion's follow-on work enters the worklist."""
+        self.queue.push(items, t, home=worker)
+
+    def reissue(
+        self, worker: int, tpop: float, t: float, retired: int, work: float
+    ) -> None:
+        """Generic completion tail: ``worker`` pops again, parked workers wake.
+
+        ``retired``/``work`` are the completion's counters, already in the
+        run totals; a device-aware engine also charges them to the
+        worker's device.
+        """
+        self.try_pop(worker, tpop)
+        if self.idle:
+            self.wake_idle(t)
 
     def wake_idle(self, t: float) -> None:
         """Hand queued work to parked workers."""
@@ -385,7 +415,13 @@ class ExecutionEngine:
                 self.idle.append(w)
 
     def drain_events(self, *, push_to_queue: bool, stop_when=None) -> float:
-        """Process READ/DONE events until the loop empties.
+        """Process events until the heap empties; return the last completion time.
+
+        This is the simulator's one event loop (the paper's Listing 2:
+        pop a task, run it, push its follow-on work).  A READ calls the
+        kernel's ``on_read`` and schedules the DONE; a DONE applies
+        ``on_complete``, pushes the new work and lets the worker pop again;
+        an ARRIVE lands a remote push (:meth:`arrive`, multi-device only).
 
         ``push_to_queue=False`` (discrete) collects pushes for the next
         generation instead of making them immediately poppable.
@@ -394,15 +430,149 @@ class ExecutionEngine:
         from issuing *new* pops once true; in-flight tasks still retire,
         so the loop drains to a consistent stop.  Used by the hybrid
         policy to interrupt a persistent phase at its high watermark.
-
-        The inner loop itself lives in :mod:`repro.core.backend` — this
-        method dispatches to the backend the configuration selected
-        (``"event"`` by default); every registered backend produces the
-        same event stream bit-for-bit.
         """
-        return self._backend.drain(
-            self, push_to_queue=push_to_queue, stop_when=stop_when
-        )
+        # Hot loop: every per-event attribute chase is hoisted into a local.
+        heap = self.heap
+        end = self.now
+        stopped = False
+        kernel = self.kernel
+        on_read = kernel.on_read
+        on_complete = kernel.on_complete
+        work_est = kernel.work_estimate
+        trace = self.trace
+        tr_times = trace.times.append
+        tr_items = trace.items.append
+        tr_work = trace.work.append
+        sink = self.sink
+        pending = self.pending_pushes
+        idle_append = self.idle.append
+        # mode knobs are stable for the duration of one drain (policies
+        # only call set_mode and new_queue between drains), so the stagger
+        # hash, the cost closure and the single-queue pop all inline
+        perturb = self.perturb
+        amp = self.jitter_amp
+        q = self._singleq
+        if q is not None:
+            qstats = q.stats
+            q_atomic = q.atomic_ns
+        fetch = self._fetch
+        cost_fn = self._cost_fn
+        dur_jit = self._dur_jit
+        read_lead = self.read_lead_ns
+        max_tasks = self.max_tasks
+        while heap:
+            t, _, tag, worker, items, x = heappop(heap)
+            self.now = t
+            if tag == _READ:
+                if sink is not None:
+                    sink.emit(TaskRead(t=t, worker=worker, items=int(items.size)))
+                payload = on_read(items, t)
+                # finish (x) >= t_read == t always
+                s = self.seq
+                heappush(heap, (x, s, _DONE, worker, items, payload))
+                self.seq = s + 1
+                continue
+            if tag == _ARRIVE:  # scheduled (and handled) by DeviceEngine only
+                self.arrive(worker, items, t, x)
+                continue
+            self.in_flight -= 1
+            result = on_complete(items, x, t)
+            if t > end:
+                end = t
+            retired = result.items_retired
+            work = result.work_units
+            new_items = result.new_items
+            self.items_retired += retired
+            self.work_units += work
+            tr_times(t)  # inlined ThroughputTrace.record
+            tr_items(retired)
+            tr_work(work)
+            if sink is not None:
+                sink.emit(
+                    TaskComplete(
+                        t=t,
+                        worker=worker,
+                        items=int(items.size),
+                        retired=retired,
+                        pushed=int(new_items.size),
+                        work=work,
+                    )
+                )
+            if new_items.size:
+                if push_to_queue:
+                    qpush = self._qpush
+                    if qpush is not None:
+                        qpush(new_items, t)
+                    else:
+                        self.push(worker, new_items, t)
+                else:
+                    pending.append(new_items)
+            if stop_when is not None and not stopped and stop_when():
+                stopped = True
+            if stopped:
+                idle_append(worker)
+                continue
+            pop_seq = self.pop_seq
+            if perturb is None:  # inlined pop_stagger fast path
+                if amp <= 0.0:
+                    tpop = t
+                else:
+                    h = (worker * 2654435761 + pop_seq * 40503 + 12345) & 0xFFFF
+                    tpop = t + (h / 65536.0) * amp
+            else:
+                tpop = t + self.pop_stagger(worker, pop_seq)
+            if q is None:
+                self.reissue(worker, tpop, t, retired, work)
+                continue
+            # inlined try_pop (single queue, no sink): one pop attempt per
+            # completion is the hottest edge in the whole simulator, so the
+            # call chain try_pop -> mpmc.pop collapses into the loop body.
+            # Mirrors both functions exactly, stats included, to keep
+            # RunResult counters bit-identical.
+            free = q._pop_atomic_free
+            t_start = tpop if tpop > free else free
+            qstats.contention_wait_ns += t_start - tpop
+            t_acq = q._pop_atomic_free = t_start + q_atomic
+            head = q._head
+            n = q._tail - head
+            if n > fetch:
+                n = fetch
+            if n == 0:
+                qstats.empty_pops += 1
+                idle_append(worker)
+            else:
+                pitems = q._buf[head : head + n].copy()
+                q._head = head = head + n
+                qstats.pops += 1
+                qstats.items_popped += n
+                if head == q._tail:
+                    q._head = q._tail = 0
+                pop_seq += 1
+                self.pop_seq = pop_seq
+                total = self.total_tasks = self.total_tasks + 1
+                if sink is not None:
+                    sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
+                if total > max_tasks:
+                    raise SchedulerError(
+                        f"run exceeded max_tasks={max_tasks}; "
+                        "the application appears not to converge"
+                    )
+                edge_work, max_degree = work_est(pitems)
+                h = (worker * 2654435761 + (pop_seq + 7919) * 40503 + 12345) & 0xFFFF
+                finish = cost_fn(
+                    t_acq, n, edge_work, max_degree, 1.0 + dur_jit * (h / 65536.0)
+                )
+                t_read = finish - read_lead
+                if t_read < t_acq:
+                    t_read = t_acq
+                s = self.seq
+                heappush(heap, (t_read, s, _READ, worker, pitems, finish))
+                self.seq = s + 1
+                self.in_flight += 1
+            if self.idle:  # inlined wake_idle guard: skip the call when nobody is parked
+                self.wake_idle(t)
+        assert self.in_flight == 0, "event loop drained with tasks in flight"
+        return end
 
     # ------------------------------------------------------------------
     def build_result(

@@ -106,6 +106,8 @@ class ExecutionPolicy(abc.ABC):
     #: True for policies that run at application level (no ExecutionEngine);
     #: the apps dispatch layer routes these to the app's frontier function
     app_level: ClassVar[bool] = False
+    #: the engine class :func:`run_policy` builds for this policy
+    engine: ClassVar[type[ExecutionEngine]] = ExecutionEngine
 
     @abc.abstractmethod
     def execute(self, eng: ExecutionEngine) -> PolicyOutcome:
@@ -196,7 +198,7 @@ class PersistentPolicy(ExecutionPolicy):
                 break
             queue.push(extra, end, home=0)
             eng.wake_idle(end)
-            if not eng.loop:
+            if not eng.heap:
                 break
         return PolicyOutcome(elapsed_ns=end, kernel_launches=1, generations=1)
 
@@ -359,7 +361,7 @@ class HybridPolicy(ExecutionPolicy):
                 return end, True
             queue.push(extra, end, home=0)
             eng.wake_idle(end)
-            if not eng.loop:
+            if not eng.heap:
                 return end, True
 
 
@@ -451,7 +453,7 @@ def run_policy(
             f"policy {policy.name!r} runs at application level; "
             "use repro.apps.common.run_app"
         )
-    eng = ExecutionEngine(kernel, config, spec, max_tasks, sink=sink, perturb=perturb)
+    eng = policy.engine(kernel, config, spec, max_tasks, sink=sink, perturb=perturb)
     out = policy.execute(eng)
     return eng.build_result(
         elapsed_ns=out.elapsed_ns,

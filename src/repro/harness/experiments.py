@@ -62,7 +62,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 "repro.apps.pagerank",
                 "repro.apps.coloring",
                 "repro.bsp.engine",
-                "repro.core.scheduler",
+                "repro.core.policy",
             ),
             bench="benchmarks/bench_table1.py",
             parameters={"impls": TABLE1_IMPLS},
@@ -164,7 +164,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             ),
             datasets=("road_usa", "roadNet-CA", "indochina-2004"),
             apps=("bfs", "coloring"),
-            modules=("repro.core.scheduler",),
+            modules=("repro.core.policy",),
             bench="benchmarks/bench_kernel_strategy.py",
         ),
         Experiment(

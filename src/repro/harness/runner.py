@@ -54,15 +54,11 @@ class Lab:
     #: stream telemetry on every engine-level run (repro.metrics): the
     #: MetricsSummary document lands in ``result.extra["metrics"]``
     metrics: bool = False
-    #: engine inner-loop override (repro.core.backend); None keeps each
-    #: configuration's own ``backend`` field.  Purely a wall-clock knob —
-    #: results are bit-identical across backends
-    backend: str | None = None
     #: simulate every engine-level run on N devices: rebases each config
     #: onto the distributed strategy (repro.core.distributed), keeping its
-    #: name so cells stay comparable across device counts.  Unlike
-    #: ``backend`` this CHANGES simulated results — it is the scaling
-    #: study knob, not an equivalence knob.  None/1 leaves configs alone
+    #: name so cells stay comparable across device counts.  This CHANGES
+    #: simulated results — it is the scaling study knob, not an
+    #: equivalence knob.  None/1 leaves configs alone
     devices: int | None = None
     #: partition choice for ``devices`` > 1 (repro.graph.partition:
     #: "edge"/"vertex" or a method name); None keeps each config's own
@@ -76,7 +72,7 @@ class Lab:
         """Apply the Lab-level device override to one configuration.
 
         BSP configs have no engine (and no queues to distribute), so they
-        pass through untouched, exactly like the ``backend`` override.
+        pass through untouched.
         """
         if not self.devices or self.devices <= 1:
             return config
@@ -125,7 +121,6 @@ class Lab:
             max_tasks=self.max_tasks,
             validate=self.validate,
             metrics=self.metrics and CONFIGS[impl].strategy is not KernelStrategy.BSP,
-            backend=self.backend,
         )
         self._stamp_metrics(result)
         self._results[cache_key] = result
@@ -204,7 +199,6 @@ class Lab:
             spec=self.spec,
             max_tasks=self.max_tasks,
             validate=self.validate,
-            backend=self.backend,
             workers=workers,
             devices=self.devices,
             partition=self.partition,
@@ -250,7 +244,6 @@ class Lab:
                 if metrics is None
                 else metrics
             ),
-            backend=self.backend,
         )
         self._stamp_metrics(result)
         return result
@@ -317,7 +310,6 @@ class Lab:
             sink=sink,
             validate=self.validate if validate is None else validate,
             perturb=perturb,
-            backend=self.backend,
             **params,
         )
 

@@ -244,7 +244,7 @@ def diff_summaries(
     if report.problems:
         return report
     # a devices=1 vs devices=N comparison is a legitimate A/B (scaling
-    # study), so tag the labels — same pattern as the backend tag in
+    # study), so tag the labels — same pattern as the device tag in
     # ``_diff_bench`` — and skip the per-device metrics the other side
     # cannot have; with equal device counts a one-sided metric is drift
     ndev_a = len(base.get("devices") or {}) or 1
@@ -361,13 +361,12 @@ def _diff_bench(base, new, *, thresholds, default_threshold, base_label, new_lab
             f"bench sizes differ: {base.get('size')!r} vs {new.get('size')!r}"
         )
         return report
-    # differing backends / device counts / partition methods are legitimate
-    # A/B comparisons (backend moves only wall-clock; devices and partition
-    # are deliberate scaling studies), so tag the labels instead of refusing
+    # differing device counts / partition methods are legitimate A/B
+    # comparisons (deliberate scaling studies), so tag the labels instead
+    # of refusing
     tags_a: list[str] = []
     tags_b: list[str] = []
     for key, default, fmt in (
-        ("backend", "event", "{}"),
         ("devices", 1, "{}dev"),
         ("partition", "hash", "{}"),
     ):

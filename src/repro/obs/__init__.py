@@ -11,7 +11,7 @@ through the scheduler, queueing and BSP layers:
 * :mod:`repro.obs.report` — ASCII top-time-sinks profile.
 
 Attach a :class:`Collector` via the ``sink=`` argument of
-:func:`repro.core.scheduler.run` (or ``Atos(sink=...)``,
+:func:`repro.core.policy.run_policy` (or ``Atos(sink=...)``,
 ``Lab.run_config(..., sink=...)``), or from a shell::
 
     python -m repro trace bfs roadnet_ca_sim --config persist-warp --out trace.json

@@ -15,7 +15,7 @@ Two producers emit them:
   :class:`QueuePop`, :class:`EmptyPop` and :class:`QueueSteal` — one event
   per physical-queue atomic operation, carrying the queue's depth after the
   operation and the contention wait the atomic induced;
-* the **scheduler layer** (:mod:`repro.core.scheduler`,
+* the **scheduler layer** (:mod:`repro.core.engine`,
   :mod:`repro.bsp.engine`) emits :class:`TaskPop`, :class:`TaskRead`,
   :class:`TaskComplete`, :class:`KernelLaunch`, :class:`Barrier` and
   :class:`GenerationStart`/:class:`GenerationEnd` — the worker-visible

@@ -110,7 +110,6 @@ def run_bench(
     workers: int | None = None,
     pre_wall_s: float | None = None,
     metrics: bool = False,
-    backend: str | None = None,
     devices: int | None = None,
     partition: str | None = None,
 ) -> dict:
@@ -119,12 +118,6 @@ def run_bench(
     ``pre_wall_s`` optionally records the wall time of the identical
     scenario measured on the pre-optimization engine (same machine, same
     session), from which the headline ``speedup_vs_pre`` is derived.
-
-    ``backend`` selects the engine inner loop (:mod:`repro.core.backend`)
-    for every cell; ``None`` keeps each preset's own default.  Simulated
-    results are bit-identical across backends, so two reports differing
-    only in ``backend`` measure pure scheduler overhead (the A/B
-    ``benchmarks/bench_wallclock.py`` prints).
 
     ``devices``/``partition`` run every engine cell on a simulated
     multi-device cluster (:class:`repro.harness.runner.Lab` rebases the
@@ -155,7 +148,7 @@ def run_bench(
     for rep in range(repeats):
         t0 = time.perf_counter()
         results = run_cells(
-            cells, size=size, backend=backend, workers=workers, generation=rep,
+            cells, size=size, workers=workers, generation=rep,
             devices=devices, partition=partition,
         )
         t1 = time.perf_counter()
@@ -172,7 +165,6 @@ def run_bench(
     doc = {
         "schema": BENCH_SCHEMA,
         "size": size,
-        "backend": backend or "event",
         "devices": devices or 1,
         "partition": partition or "hash",
         "repeats": repeats,
@@ -300,8 +292,7 @@ def format_report(doc: dict) -> str:
         else ""
     )
     lines = [
-        f"repro.perf bench  size={doc['size']}  "
-        f"backend={doc.get('backend', 'event')}  cells={doc['cells']}  "
+        f"repro.perf bench  size={doc['size']}  cells={doc['cells']}  "
         f"repeats={doc['repeats']}  workers={doc.get('workers', 1)}{device_tag}",
         f"  wall            {doc['wall_s']:.3f} s  (all: "
         + ", ".join(f"{w:.3f}" for w in doc["wall_s_all"])

@@ -84,19 +84,18 @@ def _worker_lab(
     spec: GpuSpec,
     max_tasks: int,
     validate: bool,
-    backend: str | None,
     generation: int,
     devices: int | None,
     partition: str | None,
 ):
     global _WORKER_LAB, _WORKER_KEY
-    key = (size, spec, max_tasks, validate, backend, generation, devices, partition)
+    key = (size, spec, max_tasks, validate, generation, devices, partition)
     if _WORKER_KEY != key:
         from repro.harness.runner import Lab
 
         _WORKER_LAB = Lab(
             size=size, spec=spec, max_tasks=max_tasks, validate=validate,
-            backend=backend, devices=devices, partition=partition,
+            devices=devices, partition=partition,
         )
         _WORKER_KEY = key
     return _WORKER_LAB
@@ -126,7 +125,6 @@ def _run_cell(
     spec: GpuSpec,
     max_tasks: int,
     validate: bool,
-    backend: str | None,
     generation: int,
     devices: int | None = None,
     partition: str | None = None,
@@ -153,12 +151,12 @@ def _run_cell(
 
         fresh = Lab(
             size=size, spec=spec, max_tasks=max_tasks, validate=validate,
-            backend=backend, devices=devices, partition=partition,
+            devices=devices, partition=partition,
         )
         return replay_cell(cell, fresh)
     if lab is None:
         lab = _worker_lab(
-            size, spec, max_tasks, validate, backend, generation, devices, partition
+            size, spec, max_tasks, validate, generation, devices, partition
         )
     return lab.run(cell.app, cell.dataset, cell.impl, permuted=cell.permuted)
 
@@ -175,7 +173,6 @@ def run_cells(
     spec: GpuSpec = V100_SPEC,
     max_tasks: int = 20_000_000,
     validate: bool = False,
-    backend: str | None = None,
     workers: int | None = None,
     generation: int = 0,
     devices: int | None = None,
@@ -202,14 +199,14 @@ def run_cells(
 
         local_lab = Lab(
             size=size, spec=spec, max_tasks=max_tasks, validate=validate,
-            backend=backend, devices=devices, partition=partition,
+            devices=devices, partition=partition,
         )
         out: list[AppResult | CellError] = []
         for cell in cell_list:
             try:
                 out.append(
                     _run_cell(
-                        cell, size, spec, max_tasks, validate, backend, generation,
+                        cell, size, spec, max_tasks, validate, generation,
                         devices, partition, lab=local_lab,
                     )
                 )
@@ -220,7 +217,7 @@ def run_cells(
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(
-                _run_cell, cell, size, spec, max_tasks, validate, backend,
+                _run_cell, cell, size, spec, max_tasks, validate,
                 generation, devices, partition,
             )
             for cell in cell_list

@@ -495,7 +495,9 @@ class Broker:
     async def _run_attempts(self, job: _Job, worker: int, loop, trace: Trace | None) -> None:
         last_error: BaseException | None = None
         for attempt in range(1, self.config.max_attempts + 1):
-            cached = self.cache.get(job.key)
+            # submit() already counted this job's lookup, so re-check
+            # without counting a second miss
+            cached = self.cache.peek(job.key)
             if cached is not None:
                 # a sibling worker (or earlier drain pass) beat us to it
                 if not job.future.done():

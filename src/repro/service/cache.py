@@ -90,10 +90,23 @@ class ResultCache:
         entry, bumps ``poisons_detected`` and reports a miss so the
         caller recomputes.
         """
+        result = self.peek(key)
+        with self._lock:
+            if result is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+        return result
+
+    def peek(self, key: str) -> AppResult | None:
+        """:meth:`get` without touching the hit/miss counters.
+
+        For re-checks of a key whose lookup was already counted (a queued
+        job whose result a sibling worker may have stored meanwhile).
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self._misses += 1
                 return None
             self._entries.move_to_end(key)
         if _checksum(entry.payload) != entry.checksum:
@@ -109,8 +122,6 @@ class ResultCache:
         if not isinstance(result, AppResult) or result_digest(result) != entry.digest:
             self._discard_poisoned(key, entry)
             return None
-        with self._lock:
-            self._hits += 1
         return result
 
     def put(self, key: str, result: AppResult) -> None:
@@ -143,7 +154,6 @@ class ResultCache:
                 del self._entries[key]
                 self._bytes -= len(entry.payload)
             self._poisons += 1
-            self._misses += 1
 
     # ------------------------------------------------------------------
     def corrupt(self, key: str, *, offset: int = -1) -> bool:

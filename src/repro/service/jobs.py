@@ -10,9 +10,9 @@ for verification.  Three derived quantities make the service work:
   edits, permuted, params)``.  The dataset enters by topology digest
   (:meth:`repro.graph.csr.Csr.topology_digest`), not by name, and the
   configuration by :meth:`repro.core.config.AtosConfig.digest` of the
-  *effective* config (backend/devices/partition folded in), so aliases
-  and renames share entries while any knob that changes simulated
-  behavior — or the wall-clock backend — separates them.
+  *effective* config (devices/partition folded in), so aliases and
+  renames share entries while any knob that changes simulated behavior
+  separates them.
 * :func:`execute_spec` — the one way a spec becomes a result, used by
   the broker's worker pool *and* by tests/benchmarks as the serial
   reference, so "service response == direct run" is comparing two walks
@@ -72,7 +72,6 @@ class JobSpec:
     size: str = "small"
     seed: int = 0
     edits: str | None = None
-    backend: str | None = None
     devices: int | None = None
     partition: str | None = None
     permuted: bool = False
@@ -98,8 +97,6 @@ class JobSpec:
             bits.append(f"seed={self.seed}")
         if self.edits:
             bits.append(f"edits={self.edits}")
-        if self.backend:
-            bits.append(f"backend={self.backend}")
         if self.devices and self.devices > 1:
             bits.append(f"devices={self.devices}")
         return " ".join(bits)
@@ -138,7 +135,7 @@ def spec_from_dict(doc: object) -> JobSpec:
     ):
         if key in clean and not isinstance(clean[key], typ):
             raise JobSpecError(f"'{key}' must be {label}")
-    for key in ("edits", "backend", "partition"):
+    for key in ("edits", "partition"):
         if clean.get(key) is not None and not isinstance(clean[key], str):
             raise JobSpecError(f"'{key}' must be a string or null")
     if clean.get("devices") is not None and not isinstance(clean["devices"], int):
@@ -176,8 +173,6 @@ def validate_spec(spec: JobSpec) -> None:
         raise JobSpecError(str(exc.args[0]) if exc.args else str(exc)) from exc
     if spec.seed < 0:
         raise JobSpecError("seed must be >= 0 (0 = unperturbed)")
-    if spec.backend is not None and spec.backend not in ("event", "batched"):
-        raise JobSpecError(f"unknown backend {spec.backend!r}; known: event, batched")
     if spec.devices is not None and spec.devices < 1:
         raise JobSpecError("devices must be >= 1")
     if spec.partition is not None:
@@ -215,16 +210,13 @@ def validate_spec(spec: JobSpec) -> None:
 def effective_config(spec: JobSpec):
     """The :class:`~repro.core.config.AtosConfig` the job actually runs.
 
-    Applies the spec's backend override and the devices/partition rebase
-    exactly like :class:`repro.harness.runner.Lab` does, so the config
+    Applies the spec's devices/partition rebase exactly like :class:`repro.harness.runner.Lab` does, so the config
     digest inside :func:`job_key` addresses the *simulated machine*, not
     the preset name the client typed.
     """
     from repro.core.config import CONFIGS, KernelStrategy
 
     config = CONFIGS[spec.config]
-    if spec.backend is not None and spec.backend != config.backend:
-        config = config.with_overrides(backend=spec.backend)
     if spec.devices and spec.devices > 1 and config.strategy is not KernelStrategy.BSP:
         overrides: dict = {
             "strategy": KernelStrategy.DISTRIBUTED,
@@ -252,8 +244,8 @@ def dataset_digest(spec: JobSpec) -> str:
 def job_key(spec: JobSpec, *, graph_digest: str | None = None) -> str:
     """The content address of one job (hex SHA-256).
 
-    Every component that can change the result — or, for ``backend``,
-    the execution machinery — is folded in; everything cosmetic (config
+    Every component that can change the result is folded in;
+    everything cosmetic (config
     *name*, dataset *alias*) is already normalised away by the digests.
     Memoised per spec (datasets are immutable per (name, size), so the
     address can never go stale) — this sits on the broker's warm path,
@@ -351,7 +343,6 @@ def execute_spec(spec: JobSpec, lab=None, *, sink=None) -> AppResult:
     if lab is None:
         lab = Lab(
             size=spec.size,
-            backend=spec.backend,
             devices=spec.devices,
             partition=spec.partition,
         )

@@ -39,7 +39,7 @@ class LabPool:
 
     @staticmethod
     def _key(spec: JobSpec) -> tuple:
-        return (spec.size, spec.backend, spec.devices, spec.partition)
+        return (spec.size, spec.devices, spec.partition)
 
     def _warm_lab(self, spec: JobSpec):
         from repro.harness.runner import Lab
@@ -52,7 +52,6 @@ class LabPool:
         if lab is None:
             lab = labs[key] = Lab(
                 size=spec.size,
-                backend=spec.backend,
                 devices=spec.devices,
                 partition=spec.partition,
             )

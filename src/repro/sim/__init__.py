@@ -18,7 +18,6 @@ none of the paper's results depend on those.
 """
 
 from repro.sim.calibration import CalibrationReport, calibrate
-from repro.sim.engine import EventLoop
 from repro.sim.memory import BandwidthServer
 from repro.sim.occupancy import Occupancy, occupancy_for
 from repro.sim.spec import FULL_V100_SPEC, V100_SPEC, GpuSpec
@@ -31,7 +30,6 @@ __all__ = [
     "Occupancy",
     "occupancy_for",
     "BandwidthServer",
-    "EventLoop",
     "ThroughputTrace",
     "CalibrationReport",
     "calibrate",

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.core.dag import Dag, DagKernel, JoinCounters
-from repro.core.scheduler import run
+from repro.core.policy import run_policy
 from repro.sim.spec import GpuSpec
 
 SPEC = GpuSpec(num_sms=2, mem_edges_per_ns=0.2)
@@ -75,7 +75,7 @@ class TestDagKernel:
     )
     def test_diamond_respects_dependencies(self, cfg):
         kernel = DagKernel(diamond())
-        run(kernel, cfg, spec=SPEC)
+        run_policy(kernel, cfg, spec=SPEC)
         assert kernel.all_executed()
         assert kernel.respects_dependencies()
         # node 3 strictly after both 1 and 2 in completion order
@@ -93,19 +93,19 @@ class TestDagKernel:
                 if j + 1 < n:
                     edges.append((i * n + j, i * n + j + 1))
         kernel = DagKernel(Dag.from_edges(n * n, edges))
-        run(kernel, PERSIST_WARP, spec=SPEC)
+        run_policy(kernel, PERSIST_WARP, spec=SPEC)
         assert kernel.all_executed()
         assert kernel.respects_dependencies()
 
     def test_compute_fn_invoked(self):
         seen = []
         kernel = DagKernel(diamond(), compute_fn=lambda v, t: seen.append(v))
-        run(kernel, PERSIST_WARP, spec=SPEC)
+        run_policy(kernel, PERSIST_WARP, spec=SPEC)
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_cost_fn_drives_work_units(self):
         kernel = DagKernel(diamond(), cost_fn=lambda v: 10)
-        res = run(kernel, PERSIST_WARP, spec=SPEC)
+        res = run_policy(kernel, PERSIST_WARP, spec=SPEC)
         assert res.work_units == 40.0
 
 
@@ -132,6 +132,6 @@ def test_property_random_dags_execute_in_topological_order(nd, persistent):
     n, edges = nd
     kernel = DagKernel(Dag.from_edges(n, edges))
     cfg = PERSIST_WARP if persistent else DISCRETE_CTA
-    run(kernel, cfg, spec=SPEC)
+    run_policy(kernel, cfg, spec=SPEC)
     assert kernel.all_executed()
     assert kernel.respects_dependencies()

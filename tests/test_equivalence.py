@@ -134,35 +134,25 @@ def lab() -> Lab:
     return Lab(size="tiny")
 
 
-# Every digest must hold under every registered engine backend: the
-# backend is an inner-loop implementation detail (repro.core.backend) and
-# may not perturb the observable event stream by a single byte.
-BACKENDS = ("event", "batched")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("app,dataset", CELLS)
 @pytest.mark.parametrize("preset", sorted(VARIANTS))
-def test_digest_matches_pre_refactor(lab, app, dataset, preset, backend):
+def test_digest_matches_pre_refactor(lab, app, dataset, preset):
     sink = Collector()
-    lab.run_config(app, dataset, VARIANTS[preset].with_overrides(backend=backend), sink=sink)
+    lab.run_config(app, dataset, VARIANTS[preset], sink=sink)
     assert sink.digest() == GOLDEN_DIGESTS[(app, dataset, preset)], (
-        f"{app}/{dataset}/{preset} [{backend}]: simulated behavior diverged "
+        f"{app}/{dataset}/{preset}: simulated behavior diverged "
         "from the pre-refactor scheduler"
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("app,dataset", CELLS)
 @pytest.mark.parametrize("preset", sorted(PERF_CONFIGS))
-def test_digest_matches_pre_perf_layer(lab, app, dataset, preset, backend):
+def test_digest_matches_pre_perf_layer(lab, app, dataset, preset):
     """Hybrid-policy and stealing-worklist cells pin the optimized engine."""
     sink = Collector()
-    lab.run_config(
-        app, dataset, PERF_CONFIGS[preset].with_overrides(backend=backend), sink=sink
-    )
+    lab.run_config(app, dataset, PERF_CONFIGS[preset], sink=sink)
     assert sink.digest() == GOLDEN_DIGESTS[(app, dataset, preset)], (
-        f"{app}/{dataset}/{preset} [{backend}]: simulated behavior diverged "
+        f"{app}/{dataset}/{preset}: simulated behavior diverged "
         "from the pre-optimization engine"
     )
 
@@ -170,9 +160,8 @@ def test_digest_matches_pre_perf_layer(lab, app, dataset, preset, backend):
 # ---------------------------------------------------------------------------
 # Dynamic-replay cells (ISSUE 8): a 2-epoch edit replay through the
 # incremental kernels, one Collector digest over the whole multi-epoch
-# stream (epoch 0 + EpochMark + repair epochs).  Captured on the event
-# backend at introduction; both backends must reproduce it byte-for-byte,
-# pinning the epoch-boundary protocol alongside the per-run streams above.
+# stream (epoch 0 + EpochMark + repair epochs), pinning the epoch-boundary
+# protocol alongside the per-run streams above.
 # ---------------------------------------------------------------------------
 
 DYNAMIC_EDITS = "2x16@3"
@@ -184,9 +173,8 @@ GOLDEN_DYNAMIC_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend", ("event", "batched"))
 @pytest.mark.parametrize("app,params", [("bfs-inc", {"source": 0}), ("cc-inc", {})])
-def test_dynamic_replay_digest_matches_golden(app, params, backend):
+def test_dynamic_replay_digest_matches_golden(app, params):
     from repro.apps.dynamic import replay_app
     from repro.graph.generators import rmat
 
@@ -194,11 +182,11 @@ def test_dynamic_replay_digest_matches_golden(app, params, backend):
     g = g if g.is_symmetric() else g.symmetrize()
     sink = Collector()
     replay_app(
-        app, g, CONFIGS["persist-CTA"].with_overrides(backend=backend),
-        DYNAMIC_EDITS, sink=sink, validate=True, **params,
+        app, g, CONFIGS["persist-CTA"], DYNAMIC_EDITS, sink=sink, validate=True,
+        **params,
     )
     assert sink.digest() == GOLDEN_DYNAMIC_DIGESTS[(app, "rmat8", "persist-CTA")], (
-        f"{app}/rmat8/persist-CTA [{backend}]: dynamic replay stream diverged "
+        f"{app}/rmat8/persist-CTA: dynamic replay stream diverged "
         "from its introduction digest"
     )
 

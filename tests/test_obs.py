@@ -14,7 +14,7 @@ import pytest
 from repro import __main__ as cli
 from repro.apps import bfs
 from repro.core.config import DISCRETE_WARP, PERSIST_WARP
-from repro.core.scheduler import run_discrete, run_persistent
+from repro.core.policy import run_policy
 from repro.graph.generators import grid_mesh, rmat
 from repro.obs import (
     Collector,
@@ -158,7 +158,7 @@ class TestDirectSchedulerTracing:
         from tests.test_scheduler import DISCRETE, CountdownKernel
 
         sink = Collector()
-        res = run_discrete(CountdownKernel(5), DISCRETE, spec=SPEC, sink=sink)
+        res = run_policy(CountdownKernel(5), DISCRETE, spec=SPEC, sink=sink)
         starts = sink.events_of(GenerationStart)
         ends = sink.events_of(GenerationEnd)
         assert len(starts) == res.generations
@@ -171,7 +171,7 @@ class TestDirectSchedulerTracing:
         from tests.test_scheduler import PERSIST, CountdownKernel
 
         sink = Collector()
-        run_persistent(CountdownKernel(5), PERSIST, spec=SPEC, sink=sink)
+        run_policy(CountdownKernel(5), PERSIST, spec=SPEC, sink=sink)
         assert len(sink.events_of(KernelLaunch)) == 1
 
 

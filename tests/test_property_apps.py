@@ -76,9 +76,9 @@ def test_async_pagerank_mass_conservation_and_convergence(graph):
     eps = 1e-5
     kernel = pagerank.AsyncPageRankKernel(graph, epsilon=eps)
     from repro.core.config import PERSIST_WARP
-    from repro.core.scheduler import run as run_scheduler
+    from repro.core.policy import run_policy
 
-    run_scheduler(kernel, PERSIST_WARP, spec=SPEC)
+    run_policy(kernel, PERSIST_WARP, spec=SPEC)
     n = graph.num_vertices
     # mass conservation: only vertices with out-degree 0 leak nothing
     # (symmetric graphs here, so nothing leaks at all) minus damping decay

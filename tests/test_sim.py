@@ -1,8 +1,7 @@
-"""Unit tests for the GPU model: spec, occupancy, bandwidth, event loop."""
+"""Unit tests for the GPU model: spec, occupancy, bandwidth."""
 
 import pytest
 
-from repro.sim.engine import EventLoop
 from repro.sim.memory import BandwidthServer
 from repro.sim.occupancy import occupancy_for
 from repro.sim.spec import FULL_V100_SPEC, V100_SPEC
@@ -126,50 +125,3 @@ class TestBandwidthServer:
         mem.reset()
         assert mem.free_at == 0.0
         assert mem.total_edges == 0.0
-
-
-class TestEventLoop:
-    def test_time_ordering(self):
-        loop = EventLoop()
-        loop.schedule(3.0, "c")
-        loop.schedule(1.0, "a")
-        loop.schedule(2.0, "b")
-        assert [loop.pop()[1] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_stable_tie_break(self):
-        loop = EventLoop()
-        for tag in ("first", "second", "third"):
-            loop.schedule(5.0, tag)
-        assert [loop.pop()[1] for _ in range(3)] == ["first", "second", "third"]
-
-    def test_now_advances(self):
-        loop = EventLoop()
-        loop.schedule(7.0, None)
-        loop.pop()
-        assert loop.now == 7.0
-
-    def test_schedule_in_past_rejected(self):
-        loop = EventLoop()
-        loop.schedule(5.0, None)
-        loop.pop()
-        with pytest.raises(ValueError, match="before now"):
-            loop.schedule(4.0, None)
-
-    def test_len_and_bool(self):
-        loop = EventLoop()
-        assert not loop
-        loop.schedule(1.0, None)
-        assert loop and len(loop) == 1
-
-    def test_drain(self):
-        loop = EventLoop()
-        for i in range(5):
-            loop.schedule(float(i), i)
-        assert [p for _, p in loop.drain()] == [0, 1, 2, 3, 4]
-        assert not loop
-
-    def test_peek_time(self):
-        loop = EventLoop()
-        loop.schedule(9.0, None)
-        loop.schedule(4.0, None)
-        assert loop.peek_time() == 4.0
