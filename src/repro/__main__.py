@@ -192,9 +192,16 @@ def _build_run_parser() -> argparse.ArgumentParser:
 def _run_run(argv: list[str]) -> int:
     from repro.apps.common import APP_REGISTRY, app_names
     from repro.core.config import CONFIGS, variant_by_name
-    from repro.graph.datasets import resolve_dataset
+    from repro.service.jobs import (
+        JobSpecError,
+        RunSpec,
+        execute_spec,
+        result_digest,
+        validate_spec,
+    )
 
-    args = _build_run_parser().parse_args(argv)
+    parser = _build_run_parser()
+    args = parser.parse_args(argv)
     if args.list_configs:
         from repro.sim.spec import CLUSTERS
 
@@ -226,22 +233,23 @@ def _run_run(argv: list[str]) -> int:
             print(f"{name:12s} {APP_REGISTRY[name].description}")
         return 0
     if not args.app or not args.dataset:
-        _build_run_parser().error("app and dataset are required (or use --list-*)")
-    if args.edits is not None or (
-        args.app in APP_REGISTRY and APP_REGISTRY[args.app].dynamic
-    ):
-        return _run_replay(args)
-    config = variant_by_name(args.config)
-    dataset = resolve_dataset(args.dataset)
-    lab = Lab(size=args.size, devices=args.devices, partition=args.partition)
-    result = lab.run(args.app, dataset, config.name, permuted=args.permuted)
+        parser.error("app and dataset are required (or use --list-*)")
+    edits = args.edits
+    if edits is None and args.app in APP_REGISTRY and APP_REGISTRY[args.app].dynamic:
+        edits = DEFAULT_EDITS
+    spec = RunSpec(
+        args.app, args.dataset, variant_by_name(args.config).name, size=args.size,
+        edits=edits, devices=args.devices, partition=args.partition,
+        permuted=args.permuted,
+    )
+    try:
+        validate_spec(spec)
+    except JobSpecError as exc:
+        parser.error(str(exc))
+    # replays check every epoch against the from-scratch oracle
+    result = execute_spec(spec, validate=edits is not None)
 
-    device_tag = ""
-    if args.devices and args.devices > 1:
-        device_tag = f" devices={args.devices}"
-        if args.partition:
-            device_tag += f" partition={args.partition}"
-    print(f"{args.app} on {dataset} [{config.name}] size={args.size}{device_tag}")
+    print(spec.describe())
     print(f"  elapsed          {result.elapsed_ms:.3f} ms")
     print(f"  work units       {result.work_units:.0f}")
     print(f"  items retired    {result.items_retired}")
@@ -259,53 +267,12 @@ def _run_run(argv: list[str]) -> int:
             continue
         shown = f"{val:.4g}" if isinstance(val, float) else val
         print(f"  {key:16s} {shown}")
+    print(f"digest: {result_digest(result)}")
     return 0
 
 
 #: default edit script for dynamic apps when ``--edits`` is omitted
 DEFAULT_EDITS = "3x32@7"
-
-
-def _run_replay(args) -> int:
-    """``repro run`` routed through the edit-replay harness.
-
-    Reached when ``--edits`` is given or the app is a dynamic adapter;
-    runs :func:`repro.apps.dynamic.replay_app` and prints one row per
-    epoch (per-epoch deltas: what each repair cost) plus replay totals.
-    """
-    from repro.apps.common import get_adapter
-    from repro.apps.dynamic import replay_app
-    from repro.core.config import variant_by_name
-
-    adapter = get_adapter(args.app)
-    if not adapter.dynamic:
-        _build_run_parser().error(
-            f"--edits needs a dynamic app (bfs-inc, cc-inc, pagerank-inc); "
-            f"{args.app!r} is static"
-        )
-    edits = args.edits or DEFAULT_EDITS
-    config = variant_by_name(args.config)
-    graph = _check_graph(args.dataset, args.size)
-    dres = replay_app(args.app, graph, config, edits, validate=True)
-
-    print(
-        f"{args.app} on {graph.name} [{config.name}] edits={edits} "
-        f"size={args.size}"
-    )
-    print("  epoch  +ins  -del  elapsed_ms     work  retired  dataset")
-    for e in dres.epochs:
-        r = e.result
-        ins = r.extra.get("edits_inserted", 0)
-        dele = r.extra.get("edits_deleted", 0)
-        print(
-            f"  {e.epoch:>5d} {ins:>5d} {dele:>5d} {r.elapsed_ns / 1e6:>11.3f} "
-            f"{r.work_units:>8.0f} {r.items_retired:>8d}  {r.dataset}"
-        )
-    print(
-        f"  total elapsed {dres.total_elapsed_ns / 1e6:.3f} ms  "
-        f"work {dres.total_work_units:.0f}  (all epochs oracle-validated)"
-    )
-    return 0
 
 
 def _build_check_parser() -> argparse.ArgumentParser:
@@ -349,26 +316,6 @@ def _build_check_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_graph(dataset: str, size: str):
-    """Resolve a dataset alias, or build one of the small test graphs.
-
-    ``rmat8`` / ``grid_mesh`` are the fuzzer's reference graphs (as in
-    ``tests/``): small enough that a multi-seed fuzz finishes in seconds.
-    They are symmetrized so every app (k-core needs an undirected graph)
-    accepts them.
-    """
-    from repro.graph.generators import grid_mesh, rmat
-
-    if dataset == "rmat8":
-        g = rmat(8, edge_factor=6, seed=7, name="rmat8")
-        return g if g.is_symmetric() else g.symmetrize()
-    if dataset == "grid_mesh":
-        return grid_mesh(8, 6)
-    from repro.graph.datasets import load_dataset, resolve_dataset
-
-    return load_dataset(resolve_dataset(dataset), size)
-
-
 def _run_check(argv: list[str]) -> int:
     from repro.apps.common import get_adapter, run_app
     from repro.check.fuzz import fuzz_app
@@ -378,8 +325,10 @@ def _run_check(argv: list[str]) -> int:
     from repro.core.policy import policy_for
     from repro.sim.spec import V100_SPEC
 
+    from repro.graph.datasets import load_dataset
+
     args = _build_check_parser().parse_args(argv)
-    graph = _check_graph(args.dataset, args.size)
+    graph = load_dataset(args.dataset, args.size)
     adapter = get_adapter(args.app)
     if args.edits is not None and not adapter.dynamic:
         _build_check_parser().error(
@@ -395,19 +344,7 @@ def _run_check(argv: list[str]) -> int:
         configs = [
             cfg for cfg in CONFIGS.values() if not policy_for(cfg).app_level
         ]
-    if args.devices and args.devices > 1:
-        from repro.core.config import KernelStrategy
-
-        overrides: dict = {
-            "strategy": KernelStrategy.DISTRIBUTED,
-            "devices": args.devices,
-        }
-        if args.partition:
-            overrides["partition"] = args.partition
-        configs = [
-            cfg if policy_for(cfg).app_level else cfg.with_overrides(**overrides)
-            for cfg in configs
-        ]
+    configs = [cfg.on_devices(args.devices, args.partition) for cfg in configs]
     if adapter.dynamic:
         return _check_replay(args, graph, configs)
     failures = 0

@@ -24,9 +24,7 @@ boundaries once the live frontier falls below a watermark — see
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "KernelStrategy",
@@ -195,36 +193,21 @@ class AtosConfig:
         """A copy with some fields changed (sweeps, app-specific budgets)."""
         return replace(self, **overrides)
 
-    def canonical(self) -> dict:
-        """Field-by-field canonical form: JSON scalars only, sorted keys.
+    def on_devices(self, devices: int | None, partition: str | None = None) -> "AtosConfig":
+        """This config rebased onto ``devices`` simulated GPUs.
 
-        The content-addressing foundation for :meth:`digest`.  ``name`` is
-        excluded — it is a display label (``with_overrides`` keeps it when
-        rebasing, ``describe()`` derives another), and two configs that
-        simulate identically must digest identically regardless of what a
-        caller chose to call them.
+        The one place a device count turns a configuration into the
+        distributed strategy (:mod:`repro.core.distributed`), keeping its
+        name so cells stay comparable across device counts.  ``devices``
+        of None/1 and BSP configs (no engine, no queues to distribute)
+        come back unchanged; ``partition`` None keeps the config's own.
         """
-        out: dict = {}
-        for f in fields(self):
-            if f.name == "name":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            out[f.name] = value
-        return out
-
-    def digest(self) -> str:
-        """16-hex content digest over :meth:`canonical`.
-
-        Two ``AtosConfig`` instances share a digest iff every simulated-
-        behavior field matches; the service's result cache
-        (:mod:`repro.service.cache`) keys on this, so renaming a config
-        never duplicates cache entries and changing any real knob
-        (devices, watermarks, ...) never aliases them.
-        """
-        payload = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        if not devices or devices <= 1 or self.strategy is KernelStrategy.BSP:
+            return self
+        overrides: dict = {"strategy": KernelStrategy.DISTRIBUTED, "devices": devices}
+        if partition is not None:
+            overrides["partition"] = partition
+        return self.with_overrides(**overrides)
 
     def describe(self) -> str:
         """Short human-readable tag, e.g. ``persist-256-128``."""

@@ -1,7 +1,7 @@
 """repro.dash: end-to-end job tracing + the live/zero-dep web dashboard.
 
 * :mod:`repro.dash.trace` — wall-clock span tracing across broker →
-  LabPool → engine (:class:`TraceContext`, :class:`Tracer`), plus the
+  executor → engine (:class:`TraceContext`, :class:`Tracer`), plus the
   merged Chrome export joining broker spans with the captured engine
   event stream under one ``trace_id``;
 * :mod:`repro.dash.timeseries` — :class:`ServiceSeries`, the broker's

@@ -1,4 +1,4 @@
-"""Span-based tracing for the service path (broker → LabPool → engine).
+"""Span-based tracing for the service path (broker → executor → engine).
 
 The obs layer (:mod:`repro.obs`) records *simulated* time inside one
 engine run; this module records *wall-clock* spans across the service
@@ -10,7 +10,7 @@ machinery around it, so one submitted job becomes one :class:`Trace`:
 * one ``attempt`` child per execution attempt (failed attempts carry
   ``status="error"``),
 * an ``engine`` child inside each attempt, measured on the executor
-  thread around the actual :meth:`~repro.service.pool.LabPool.run`, and
+  thread around the actual :func:`~repro.service.jobs.execute_spec`, and
 * for dynamic (``--edits``) jobs with event capture on, one ``epoch``
   child per replay epoch under the engine span
   (:class:`EpochWallSink` stamps the wall clock at each
@@ -73,7 +73,7 @@ class TraceContext:
     """The propagatable identity of a trace: its id + the parent span id.
 
     Minted at :meth:`~repro.service.broker.Broker.submit`; everything
-    downstream (LabPool, engine Collector, Chrome export) references the
+    downstream (executor thread, engine Collector, Chrome export) references the
     ``trace_id``, and child spans attach under ``span_id``.
     """
 

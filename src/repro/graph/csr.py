@@ -20,7 +20,6 @@ Design notes
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -98,27 +97,6 @@ class Csr:
 
     def __len__(self) -> int:
         return self.num_vertices
-
-    def topology_digest(self) -> str:
-        """16-hex content digest over the CSR arrays (not the name).
-
-        Two graphs share a digest iff they have byte-identical
-        ``indptr``/``indices`` — the dataset half of the service cache key
-        (:mod:`repro.service.jobs`), so a renamed or re-loaded copy of the
-        same topology hits the same cache entries while any edit, resize
-        or regeneration with a different seed misses.  Computed once and
-        memoised on the instance (the arrays are frozen, so the digest
-        can never go stale).
-        """
-        cached = getattr(self, "_topology_digest", None)
-        if cached is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_vertices).tobytes())
-            h.update(self.indptr.tobytes())
-            h.update(self.indices.tobytes())
-            cached = h.hexdigest()[:16]
-            object.__setattr__(self, "_topology_digest", cached)
-        return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.graph.csr import Csr
-from repro.graph.generators import rmat, road_network
+from repro.graph.generators import grid_mesh, rmat, road_network
 from repro.graph.permute import (
     block_shuffle_permutation,
     crawl_order_relabel,
@@ -46,6 +46,7 @@ from repro.graph.permute import (
 __all__ = [
     "DatasetInfo",
     "DATASETS",
+    "TEST_GRAPHS",
     "SIZES",
     "load_dataset",
     "resolve_dataset",
@@ -154,6 +155,21 @@ DATASETS: dict[str, DatasetInfo] = {
     "roadNet-CA": DatasetInfo("roadNet-CA", roadnet_ca_sim, "mesh-like", "1.9M", "5M", 849),
 }
 
+
+def _rmat8(size: str) -> Csr:
+    g = rmat(8, edge_factor=6, seed=7, name="rmat8")
+    return g if g.is_symmetric() else g.symmetrize()
+
+
+#: the fuzzer's small reference graphs (as in ``tests/``), accepted by name
+#: wherever a dataset is: a multi-seed ``repro check`` on them finishes in
+#: seconds.  One fixed graph each, whatever the size preset; symmetric, so
+#: every app (k-core needs an undirected graph) accepts them.
+TEST_GRAPHS: dict[str, Callable[[str], Csr]] = {
+    "rmat8": _rmat8,
+    "grid_mesh": lambda size: grid_mesh(8, 6),
+}
+
 SCALE_FREE_KEYS = ("soc-LiveJournal1", "hollywood-2009", "indochina-2004")
 MESH_KEYS = ("road_usa", "roadNet-CA")
 
@@ -183,25 +199,35 @@ def resolve_dataset(name: str) -> str:
 
     Accepts the paper name (``roadNet-CA``), the loader-function name
     (``roadnet_ca_sim``) or the sim-less form (``roadnet-ca``),
-    case-insensitively and ignoring punctuation.
+    case-insensitively and ignoring punctuation, plus the exact names of
+    :data:`TEST_GRAPHS`.
     """
+    if name in TEST_GRAPHS:
+        return name
     key = _ALIASES.get(_normalize(name))
     if key is None:
-        raise KeyError(f"unknown dataset {name!r}; known: {sorted(DATASETS)}")
+        raise KeyError(
+            f"unknown dataset {name!r}; known: {sorted(DATASETS)} or {sorted(TEST_GRAPHS)}"
+        )
     return key
 
 
-def load_dataset(key: str, size: str = "default") -> Csr:
-    """Load one of the five stand-ins by any accepted dataset spelling.
+def load_dataset(key: str, size: str = "default", *, permuted: bool = False) -> Csr:
+    """Load one of the five stand-ins (or a test graph) by any accepted spelling.
 
-    Builds are memoised process-wide through
+    ``permuted`` applies the Section 6.3 random vertex-id permutation
+    (seed 42).  Builds are memoised process-wide through
     :func:`repro.perf.buildcache.cached_graph`: every Lab, benchmark
-    repeat and sweep worker that asks for the same (dataset, size) pair
-    shares one read-only :class:`Csr` instance.
+    repeat, sweep worker and service thread that asks for the same
+    (dataset, size, permuted) triple shares one read-only :class:`Csr`.
     """
     from repro.perf.buildcache import cached_graph
 
     rkey = resolve_dataset(key)
-    return cached_graph(
-        ("dataset", rkey, size), lambda: DATASETS[rkey].loader(size)
-    )
+    if permuted:
+        base = load_dataset(rkey, size)
+        return cached_graph(
+            ("dataset", rkey, size, "permuted"), lambda: permute_vertices(base, seed=42)
+        )
+    build = TEST_GRAPHS.get(rkey) or DATASETS[rkey].loader
+    return cached_graph(("dataset", rkey, size), lambda: build(size))

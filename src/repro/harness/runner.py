@@ -17,11 +17,10 @@ from repro.analysis.challenges import ChallengeReport, classify_challenges
 from repro.analysis.overwork import coloring_workload_ratio, workload_ratio
 from repro.analysis.tables import format_table
 from repro.analysis.throughput import normalized_series, render_figure
-from repro.apps.common import AppResult, get_adapter, run_app
+from repro.apps.common import AppResult, run_app
 from repro.graph.csr import Csr
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.metrics import compute_stats
-from repro.graph.permute import permute_vertices
 from repro.core.config import CONFIGS, AtosConfig, KernelStrategy
 from repro.harness.experiments import ALL_DATASETS, TABLE1_IMPLS
 from repro.sim.spec import V100_SPEC, GpuSpec
@@ -43,7 +42,13 @@ class Table1Row:
 
 @dataclass
 class Lab:
-    """Caching experiment runner over the paper's evaluation matrix."""
+    """Caching experiment runner over the paper's evaluation matrix.
+
+    Every named cell is a :class:`~repro.service.jobs.RunSpec` run by
+    :func:`~repro.service.jobs.execute_spec`, and the one result memo is
+    keyed by that spec: a cell differing in any field (edits, seed,
+    params, devices, ...) is a different key, never a shared slot.
+    """
 
     size: str = "default"
     spec: GpuSpec = field(default_factory=lambda: V100_SPEC)
@@ -65,37 +70,32 @@ class Lab:
     partition: str | None = None
 
     def __post_init__(self) -> None:
-        self._graphs: dict[str, Csr] = {}
-        self._results: dict[tuple, AppResult] = {}
+        self._results: dict = {}  # RunSpec -> AppResult
 
-    def _effective_config(self, config: AtosConfig) -> AtosConfig:
-        """Apply the Lab-level device override to one configuration.
+    def _cell(self, app: str, dataset: str, impl: str, permuted: bool):
+        from repro.service.jobs import RunSpec
 
-        BSP configs have no engine (and no queues to distribute), so they
-        pass through untouched.
-        """
-        if not self.devices or self.devices <= 1:
-            return config
-        if config.strategy is KernelStrategy.BSP:
-            return config
-        overrides: dict = {
-            "strategy": KernelStrategy.DISTRIBUTED,
-            "devices": self.devices,
-        }
-        if self.partition is not None:
-            overrides["partition"] = self.partition
-        return config.with_overrides(**overrides)
+        return RunSpec(
+            app, dataset, impl, size=self.size, devices=self.devices,
+            partition=self.partition, permuted=permuted,
+        )
+
+    def _metrics_for(self, config: AtosConfig | None) -> bool:
+        """The Lab-level ``metrics`` flag for one run: BSP runs at
+        application level and emits no engine events to stream."""
+        return bool(self.metrics and config and config.strategy is not KernelStrategy.BSP)
+
+    def _stamp_metrics(self, result: AppResult, size: str) -> AppResult:
+        """Fill the size preset into a run's MetricsSummary."""
+        summary = result.extra.get("metrics")
+        if summary is not None:
+            summary["size"] = size
+        return result
 
     # ------------------------------------------------------------------
     def graph(self, dataset: str, *, permuted: bool = False) -> Csr:
-        """Load (and cache) a dataset stand-in, optionally id-permuted."""
-        key = f"{dataset}+perm" if permuted else dataset
-        if key not in self._graphs:
-            g = load_dataset(dataset, self.size)
-            if permuted:
-                g = permute_vertices(g, seed=42)
-            self._graphs[key] = g
-        return self._graphs[key]
+        """A dataset stand-in at the Lab's size, optionally id-permuted."""
+        return load_dataset(dataset, self.size, permuted=permuted)
 
     def run(self, app: str, dataset: str, impl: str, *, permuted: bool = False) -> AppResult:
         """Run (and cache) one cell of the evaluation matrix.
@@ -104,33 +104,16 @@ class Lab:
         :data:`repro.core.config.CONFIGS` — ``"BSP"``, the paper's four Atos
         variants, or the hybrid extensions.
         """
-        get_adapter(app)  # fail fast before loading the graph
-        cache_key = (app, dataset, impl, permuted)
-        if cache_key in self._results:
-            return self._results[cache_key]
-        if impl not in CONFIGS:
-            raise KeyError(
-                f"unknown implementation {impl!r}; known: {sorted(CONFIGS)}"
-            )
-        graph = self.graph(dataset, permuted=permuted)
-        result = run_app(
-            app,
-            graph,
-            self._effective_config(CONFIGS[impl]),
-            spec=self.spec,
-            max_tasks=self.max_tasks,
-            validate=self.validate,
-            metrics=self.metrics and CONFIGS[impl].strategy is not KernelStrategy.BSP,
-        )
-        self._stamp_metrics(result)
-        self._results[cache_key] = result
-        return result
+        from repro.service.jobs import execute_spec
 
-    def _stamp_metrics(self, result: AppResult) -> None:
-        """Fill the Lab-level identity (size) into a run's MetricsSummary."""
-        summary = result.extra.get("metrics")
-        if summary is not None:
-            summary["size"] = self.size
+        spec = self._cell(app, dataset, impl, permuted)
+        if spec not in self._results:
+            result = execute_spec(
+                spec, gpu=self.spec, max_tasks=self.max_tasks,
+                validate=self.validate, metrics=self._metrics_for(CONFIGS.get(impl)),
+            )
+            self._results[spec] = self._stamp_metrics(result, spec.size)
+        return self._results[spec]
 
     def run_grid(
         self,
@@ -142,10 +125,8 @@ class Lab:
         workers: int | None = None,
     ) -> list:
         """Run the full apps x datasets x impls grid; see :meth:`run_cells`."""
-        from repro.perf.parallel import SweepCell
-
         cells = [
-            SweepCell(app, ds, impl, permuted)
+            self._cell(app, ds, impl, permuted)
             for app in apps
             for ds in datasets
             for impl in impls
@@ -153,64 +134,36 @@ class Lab:
         return self.run_cells(cells, workers=workers)
 
     def run_cells(self, cells, *, workers: int | None = None) -> list:
-        """Run a list of :class:`~repro.perf.parallel.SweepCell`.
+        """Run a list of :class:`~repro.service.jobs.RunSpec`, exactly as given.
 
         Returns one entry per cell, in cell order: the
         :class:`~repro.apps.common.AppResult`, or a
         :class:`~repro.perf.parallel.CellError` if that cell raised.
-        ``workers`` of ``None``/0/1 runs serially in this process through
-        the Lab's memo; larger values fan out over a process pool (each
-        worker keeps its own warm Lab) and fold the results back into
-        this Lab's memo, so a parallel sweep primes later table calls
-        exactly like a serial one.
+        Cells already in the memo are served from it; the rest run
+        through :func:`repro.perf.parallel.run_cells` (serially for
+        ``workers`` of ``None``/0/1, else over a process pool) and land
+        in the memo, so a parallel sweep primes later table calls exactly
+        like a serial one.
         """
-        from repro.perf.parallel import CellError, replay_cell, run_cells
+        from repro.perf.parallel import CellError, run_cells
 
         cells = list(cells)
-        if not workers or workers <= 1:
-            out = []
-            for cell in cells:
-                try:
-                    if getattr(cell, "edits", None) is not None:
-                        # dynamic cell: replay (never memoised) instead of
-                        # run — the run memo's key has no edit script
-                        out.append(replay_cell(cell, self))
-                    else:
-                        out.append(
-                            self.run(cell.app, cell.dataset, cell.impl, permuted=cell.permuted)
-                        )
-                except Exception as exc:
-                    import traceback as _tb
-
-                    out.append(
-                        CellError(
-                            cell=cell,
-                            kind=type(exc).__name__,
-                            message=str(exc),
-                            traceback="".join(
-                                _tb.format_exception(type(exc), exc, exc.__traceback__)
-                            ),
-                        )
-                    )
-            return out
-        results = run_cells(
-            cells,
-            size=self.size,
-            spec=self.spec,
-            max_tasks=self.max_tasks,
-            validate=self.validate,
-            workers=workers,
-            devices=self.devices,
-            partition=self.partition,
-        )
-        for cell, res in zip(cells, results):
-            # dynamic cells must NOT be folded into the run memo: its key
-            # (app, dataset, impl, permuted) has no edit script, so a later
-            # static run() of the same coordinates would be served the
-            # replay's final epoch (regression-pinned in tests/test_perf.py)
-            if not isinstance(res, CellError) and getattr(cell, "edits", None) is None:
-                self._results[(cell.app, cell.dataset, cell.impl, cell.permuted)] = res
-        return results
+        todo = {
+            cell: self._metrics_for(CONFIGS.get(cell.impl))
+            for cell in cells
+            if cell not in self._results
+        }
+        done: dict = {}
+        for metrics in set(todo.values()):
+            part = [cell for cell, flag in todo.items() if flag is metrics]
+            done.update(zip(part, run_cells(
+                part, workers=workers, gpu=self.spec, max_tasks=self.max_tasks,
+                validate=self.validate, metrics=metrics,
+            )))
+        for cell, res in done.items():
+            if not isinstance(res, CellError):
+                self._results[cell] = self._stamp_metrics(res, cell.size)
+        return [self._results.get(cell, done.get(cell)) for cell in cells]
 
     def run_config(
         self,
@@ -230,23 +183,17 @@ class Lab:
         Lab-level default (``True``/``False`` or a pre-configured
         :class:`~repro.metrics.sink.MetricsSink`).
         """
-        graph = self.graph(dataset, permuted=permuted)
         result = run_app(
             app,
-            graph,
-            self._effective_config(config),
+            self.graph(dataset, permuted=permuted),
+            config.on_devices(self.devices, self.partition),
             spec=self.spec,
             max_tasks=self.max_tasks,
             sink=sink,
             validate=self.validate,
-            metrics=(
-                self.metrics and config.strategy is not KernelStrategy.BSP
-                if metrics is None
-                else metrics
-            ),
+            metrics=self._metrics_for(config) if metrics is None else metrics,
         )
-        self._stamp_metrics(result)
-        return result
+        return self._stamp_metrics(result, self.size)
 
     def collect(
         self,
@@ -275,43 +222,6 @@ class Lab:
             app, dataset, config, permuted=permuted, sink=collector, metrics=metrics
         )
         return result, collector
-
-    def replay(
-        self,
-        app: str,
-        dataset: str,
-        config: AtosConfig | str,
-        edits: str,
-        *,
-        sink=None,
-        validate: bool | None = None,
-        perturb=None,
-        **params,
-    ):
-        """Replay an edit script through a dynamic app on a Lab dataset.
-
-        The dynamic counterpart of :meth:`run_config`: resolves the graph
-        through the Lab's dataset cache and size preset, then hands off to
-        :func:`repro.apps.dynamic.replay_app`.  Never memoised — the
-        kernel mutates across epochs, so every replay is fresh.
-        """
-        from repro.apps.dynamic import replay_app
-
-        graph = self.graph(dataset)
-        if isinstance(config, str):
-            config = CONFIGS[config]
-        return replay_app(
-            app,
-            graph,
-            self._effective_config(config),
-            edits,
-            spec=self.spec,
-            max_tasks=self.max_tasks,
-            sink=sink,
-            validate=self.validate if validate is None else validate,
-            perturb=perturb,
-            **params,
-        )
 
     # ------------------------------------------------------------------
     # Table 1

@@ -6,8 +6,8 @@ Three pieces, all pinned bit-identical by the golden-digest net in
 * :mod:`repro.perf.buildcache` — a keyed, process-wide cache for
   deterministic graph construction (datasets and generators), returning
   shared read-only :class:`~repro.graph.csr.Csr` instances;
-* :mod:`repro.perf.parallel` — a process-parallel sweep runner for Lab
-  grids with per-cell error isolation and deterministic result ordering;
+* :mod:`repro.perf.parallel` — a process-parallel sweep runner over
+  run specs with per-cell error isolation and deterministic result ordering;
 * :mod:`repro.perf.bench` — the wall-clock benchmark scenario behind
   ``python -m repro perf`` and the committed ``BENCH_perf.json`` baseline.
 
@@ -18,7 +18,7 @@ optimization must keep.
 """
 
 from repro.perf.buildcache import cache_clear, cache_info, cached_graph
-from repro.perf.parallel import CellError, SweepCell, run_cells
+from repro.perf.parallel import CellError, run_cells
 from repro.perf.bench import (
     BENCH_SCHEMA,
     bench_cells,
@@ -32,7 +32,6 @@ __all__ = [
     "cached_graph",
     "cache_info",
     "cache_clear",
-    "SweepCell",
     "CellError",
     "run_cells",
     "BENCH_SCHEMA",

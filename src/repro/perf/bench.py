@@ -4,9 +4,9 @@ The benchmark scenario is the full evaluation surface at one size preset:
 all eight applications on the two headline datasets, each kernel app
 under the three engine presets the paper's tables use (BSP-only apps run
 their BSP implementation).  Graphs are prebuilt outside the timed region;
-each repeat times a *fresh* Lab so per-Lab memoisation cannot hide engine
-cost, while the process-wide build cache keeps graph construction out of
-the loop.
+every repeat re-simulates every cell (:func:`~repro.perf.parallel.run_cells`
+memoises nothing), while the process-wide build cache keeps graph
+construction out of the loop.
 
 Two throughput numbers are reported:
 
@@ -29,11 +29,13 @@ import json
 import platform
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.perf.parallel import CellError, SweepCell, run_cells
+from repro.perf.parallel import CellError, run_cells
+from repro.service.jobs import RunSpec
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -64,7 +66,7 @@ METRICS_CELLS = (
 )
 
 
-def bench_cells() -> list[SweepCell]:
+def bench_cells() -> list[RunSpec]:
     """The benchmark grid: 8 apps x presets x 2 datasets (44 cells)."""
     from repro.apps.common import app_names, get_adapter
 
@@ -79,7 +81,7 @@ def bench_cells() -> list[SweepCell]:
         impls = BENCH_PRESETS if kernel_app else ("BSP",)
         for impl in impls:
             for ds in BENCH_DATASETS:
-                cells.append(SweepCell(app, ds, impl))
+                cells.append(RunSpec(app, ds, impl))
     return cells
 
 
@@ -120,8 +122,8 @@ def run_bench(
     session), from which the headline ``speedup_vs_pre`` is derived.
 
     ``devices``/``partition`` run every engine cell on a simulated
-    multi-device cluster (:class:`repro.harness.runner.Lab` rebases the
-    presets onto the distributed strategy) and are recorded in the report
+    multi-device cluster (each cell's spec rebases its preset onto the
+    distributed strategy) and are recorded in the report
     so ``python -m repro diff`` can tag a scaling A/B.
 
     ``metrics=True`` re-runs the :data:`METRICS_CELLS` subset *outside*
@@ -135,7 +137,10 @@ def run_bench(
         raise ValueError("repeats must be >= 1")
     from repro.graph.datasets import load_dataset
 
-    cells = bench_cells()
+    cells = [
+        replace(cell, size=size, devices=devices, partition=partition)
+        for cell in bench_cells()
+    ]
     # prebuild the graphs outside the timed region (build cache holds them)
     for ds in BENCH_DATASETS:
         load_dataset(ds, size)
@@ -147,10 +152,7 @@ def run_bench(
     sim_ns_total = 0.0
     for rep in range(repeats):
         t0 = time.perf_counter()
-        results = run_cells(
-            cells, size=size, workers=workers, generation=rep,
-            devices=devices, partition=partition,
-        )
+        results = run_cells(cells, workers=workers)
         t1 = time.perf_counter()
         walls.append(t1 - t0)
         if rep == 0:

@@ -3,14 +3,15 @@
 The service layer turns the deterministic experiment harness into a
 long-running multi-tenant facility:
 
-* :mod:`repro.service.jobs` — job specs, content addressing
+* :mod:`repro.service.jobs` — the run identity
+  (:class:`~repro.service.jobs.RunSpec`), its content address
   (:func:`~repro.service.jobs.job_key`), result digests, and the single
-  execution path shared with serial verification;
+  execution path every entry point shares;
 * :mod:`repro.service.cache` — LRU/byte-budgeted, integrity-checked
   :class:`~repro.service.cache.ResultCache`;
 * :mod:`repro.service.broker` — the asyncio
   :class:`~repro.service.broker.Broker`: fair round-robin tenant queues
-  with backpressure, warm-Lab worker pool, single-flight coalescing,
+  with backpressure, an executor thread pool, single-flight coalescing,
   timeouts/retries, graceful drain;
 * :mod:`repro.service.http` / :mod:`repro.service.client` — the JSON
   HTTP boundary (``repro serve`` / ``repro submit``);
@@ -39,14 +40,13 @@ from repro.service.faults import FaultInjector, WorkerKilled
 from repro.service.http import ServiceServer, serve
 from repro.service.jobs import (
     JobResult,
-    JobSpec,
     JobSpecError,
+    RunSpec,
     execute_spec,
     job_key,
     result_digest,
     spec_from_dict,
 )
-from repro.service.pool import LabPool
 
 __all__ = [
     "Broker",
@@ -57,11 +57,10 @@ __all__ = [
     "FaultInjector",
     "JobFailed",
     "JobResult",
-    "JobSpec",
     "JobSpecError",
-    "LabPool",
     "QueueFull",
     "ResultCache",
+    "RunSpec",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",

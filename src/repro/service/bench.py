@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.perf.bench import calibrate
 from repro.service.broker import Broker, BrokerConfig
-from repro.service.jobs import JobSpec, execute_spec, job_key, result_digest
+from repro.service.jobs import RunSpec, execute_spec, job_key, result_digest, spec_from_dict
 
 __all__ = [
     "SERVICE_BENCH_SCHEMA",
@@ -74,7 +74,7 @@ def _quantile(sorted_values: list[float], q: float) -> float:
 
 
 async def _run(
-    specs: list[JobSpec],
+    specs: list[RunSpec],
     *,
     clients: int,
     tenants: int,
@@ -147,7 +147,7 @@ def run_service_bench(
         raise ValueError("clients must be >= 1")
     if tenants < 1:
         raise ValueError("tenants must be >= 1")
-    specs = [JobSpec(size=size, **doc) for doc in job_mix]
+    specs = [spec_from_dict(dict(doc, size=size)) for doc in job_mix]
     calib_ns = calibrate()
     t_start = time.time()
     measured = asyncio.run(

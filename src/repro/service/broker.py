@@ -7,7 +7,10 @@ microseconds), coalesces onto an identical in-flight job (single
 flight), or queues the job on its tenant's bounded deque.  A fixed pool
 of asyncio workers drains the tenant queues **round-robin** — a tenant
 submitting 1000 jobs cannot starve one submitting 2 — and executes each
-job on a thread-pool of warm Labs (:class:`~repro.service.pool.LabPool`).
+job through :func:`~repro.service.jobs.execute_spec` on a thread pool.
+Executions share no mutable state but the locked graph build cache
+(:mod:`repro.perf.buildcache`); the fault injector and traces they
+report into take their own locks.
 
 Robustness contract (exercised by ``tests/test_service_faults.py``):
 
@@ -40,13 +43,13 @@ from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
 from repro.service.faults import FaultInjector, WorkerKilled
 from repro.service.jobs import (
     JobResult,
-    JobSpec,
+    RunSpec,
+    execute_spec,
     job_key,
     make_job_result,
     spec_from_dict,
     validate_spec,
 )
-from repro.service.pool import LabPool
 
 __all__ = [
     "Broker",
@@ -173,7 +176,7 @@ class ServiceStats:
 class _Job:
     """One queued unit: the spec, its key, and the future its waiters share."""
 
-    spec: JobSpec
+    spec: RunSpec
     key: str
     tenant: str
     future: asyncio.Future  # resolves to (AppResult, attempts)
@@ -183,12 +186,11 @@ class _Job:
 
 
 class Broker:
-    """Asyncio job broker over a warm-Lab thread pool.  See module docs."""
+    """Asyncio job broker over an executor thread pool.  See module docs."""
 
     def __init__(self, config: BrokerConfig | None = None) -> None:
         self.config = config or BrokerConfig()
         self.cache = ResultCache(self.config.cache_bytes)
-        self.pool = LabPool()
         self.faults = self.config.faults
         self._queues: dict[str, deque[_Job]] = {}
         self._rr: list[str] = []  # tenant scan order (insertion-stable)
@@ -267,7 +269,7 @@ class Broker:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
-    async def submit(self, spec: JobSpec | dict, *, tenant: str = "default") -> JobResult:
+    async def submit(self, spec: RunSpec | dict, *, tenant: str = "default") -> JobResult:
         """Run (or fetch) one job; resolves when its result is ready.
 
         Raises :class:`~repro.service.jobs.JobSpecError` on a bad spec,
@@ -280,7 +282,7 @@ class Broker:
             raise BrokerClosed("broker not started; use 'async with Broker()' or start()")
         if self._draining:
             raise BrokerClosed("broker is draining; not accepting new jobs")
-        if not isinstance(spec, JobSpec):
+        if not isinstance(spec, RunSpec):
             spec = spec_from_dict(spec)
         validate_spec(spec)
         self._submitted += 1
@@ -436,11 +438,11 @@ class Broker:
                 return
             await self._execute(job, index)
 
-    def _attempt(self, spec: JobSpec, trace: Trace | None = None, attempt_span=None):
+    def _attempt(self, spec: RunSpec, trace: Trace | None = None, attempt_span=None):
         """One execution attempt, run on an executor thread.
 
         When tracing, the engine span is measured *here* — tight around
-        the actual Lab execution, on the thread that ran it — and lands
+        :func:`~repro.service.jobs.execute_spec`, on the thread that ran it — and lands
         in the trace through its append lock.  With event capture on,
         the run also gets a per-job :class:`Collector` (tagged with the
         trace id) plus an :class:`EpochWallSink` whose epoch marks become
@@ -453,7 +455,7 @@ class Broker:
             epoch_sink = EpochWallSink()
             sink = MultiSink(collector, epoch_sink)
         e0 = time.perf_counter_ns()
-        result = self.pool.run(spec, sink=sink)
+        result = execute_spec(spec, sink=sink)
         e1 = time.perf_counter_ns()
         if trace is not None:
             parent_id = attempt_span.span_id if attempt_span is not None else "root"

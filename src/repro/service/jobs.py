@@ -1,22 +1,21 @@
-"""Job specifications and content addressing for the scheduler service.
+"""The run identity: :class:`RunSpec`, its content address and its one execution path.
 
-A :class:`JobSpec` names one deterministic unit of work — a static run, a
-perturbed (seeded) run, or a dynamic edit-replay — in plain JSON scalars,
-so it can cross the HTTP boundary, be hashed, and be replayed serially
-for verification.  Three derived quantities make the service work:
+A :class:`RunSpec` names one deterministic run — a static run, a
+perturbed (seeded) run, or a dynamic edit-replay — in plain JSON
+scalars, so it can cross the HTTP boundary, be hashed, and be replayed
+serially for verification.  It is the only description of "which run"
+in the repository: the :class:`~repro.harness.runner.Lab` memo key, the
+cell of a parallel sweep (:func:`repro.perf.parallel.run_cells`), the
+service's job and the ``repro run`` command all build one.  Three
+derived quantities make it work:
 
 * :func:`job_key` — the content address: SHA-256 over the *canonical*
-  job identity ``(app, dataset-topology-digest, config-digest, seed,
-  edits, permuted, params)``.  The dataset enters by topology digest
-  (:meth:`repro.graph.csr.Csr.topology_digest`), not by name, and the
-  configuration by :meth:`repro.core.config.AtosConfig.digest` of the
-  *effective* config (devices/partition folded in), so aliases and
-  renames share entries while any knob that changes simulated behavior
-  separates them.
-* :func:`execute_spec` — the one way a spec becomes a result, used by
-  the broker's worker pool *and* by tests/benchmarks as the serial
-  reference, so "service response == direct run" is comparing two walks
-  of the same code path on independent Lab state.
+  spec.  A spec canonicalises once, at construction (dataset alias,
+  sorted ``params``, fields the run ignores), so two specs share a key
+  exactly when they are the same run.
+* :func:`execute_spec` — the only code that turns a spec into an
+  :class:`~repro.apps.common.AppResult`, used by every entry point, so
+  "service response == Lab == sweep == CLI" compares walks of one path.
 * :func:`result_digest` — 16-hex digest over the algorithmic surface of
   an :class:`~repro.apps.common.AppResult` (identity, simulated clock,
   counters, and the raw output array bytes).  Equal digests across the
@@ -32,10 +31,14 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from repro.apps.common import AppResult
+from repro.apps.common import AppResult, run_app
+from repro.core.config import CONFIGS, AtosConfig, KernelStrategy
+from repro.graph.csr import Csr
+from repro.graph.datasets import load_dataset, resolve_dataset
+from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
-    "JobSpec",
+    "RunSpec",
     "JobResult",
     "JobSpecError",
     "job_key",
@@ -44,7 +47,6 @@ __all__ = [
     "spec_from_dict",
 ]
 
-#: job kinds, derived: ``edits`` set -> replay; ``seed`` > 0 -> perturbed
 _SIZES = ("tiny", "small", "default")
 
 
@@ -53,22 +55,30 @@ class JobSpecError(ValueError):
 
 
 @dataclass(frozen=True)
-class JobSpec:
-    """One deterministic job: what to run, on what, and under which knobs.
+class RunSpec:
+    """One deterministic run: what to run, on what, and under which knobs.
 
-    ``seed`` selects a schedule perturbation
+    ``impl`` names a preset of :data:`repro.core.config.CONFIGS` (the JSON
+    key is ``config``).  ``seed`` selects a schedule perturbation
     (:func:`repro.check.fuzz.perturbation`): ``0`` is the unperturbed
     run, any positive seed is a distinct — still fully deterministic —
-    schedule, so seeds multiply the cacheable universe instead of
-    defeating the cache.  ``edits`` routes the job through the dynamic
-    edit-replay harness (:func:`repro.apps.dynamic.replay_app`).
-    ``params`` are extra kernel arguments (e.g. ``source`` for BFS) as a
-    sorted tuple of pairs so the spec stays hashable and canonical.
+    schedule.  ``edits`` replays an edit script through a dynamic app
+    (:func:`repro.apps.dynamic.replay_app`).  ``devices``/``partition``
+    rebase the preset onto the distributed strategy
+    (:meth:`~repro.core.config.AtosConfig.on_devices`).  ``permuted``
+    runs on the Section 6.3 id-permuted graph.  ``params`` are extra
+    kernel arguments (e.g. ``source`` for BFS), a sorted tuple of pairs.
+
+    Construction canonicalises: the dataset alias resolves to its
+    registry key, ``params`` sort, and fields the run ignores drop to
+    ``None`` (``devices`` of 1, ``partition`` without ``devices``, and
+    both on the BSP preset).  Invalid values are kept as given so
+    :func:`validate_spec` can name them.
     """
 
     app: str
     dataset: str
-    config: str = "persist-CTA"
+    impl: str = "persist-CTA"
     size: str = "small"
     seed: int = 0
     edits: str | None = None
@@ -78,35 +88,63 @@ class JobSpec:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.params, tuple):
-            object.__setattr__(
-                self, "params", tuple(sorted(dict(self.params).items()))
-            )
-        else:
-            object.__setattr__(self, "params", tuple(sorted(self.params)))
+        try:
+            object.__setattr__(self, "dataset", resolve_dataset(self.dataset))
+        except KeyError:
+            pass  # validate_spec names the unknown dataset
+        params = self.params.items() if isinstance(self.params, dict) else self.params
+        object.__setattr__(self, "params", tuple(sorted(params)))
+        preset = CONFIGS.get(self.impl)
+        if self.devices == 1 or (preset is not None and preset.strategy is KernelStrategy.BSP):
+            object.__setattr__(self, "devices", None)
+        if self.devices is None:
+            object.__setattr__(self, "partition", None)
+
+    def atos_config(self) -> AtosConfig:
+        """The configuration the run executes: the preset, rebased onto ``devices``."""
+        if self.impl not in CONFIGS:
+            raise KeyError(f"unknown implementation {self.impl!r}; known: {sorted(CONFIGS)}")
+        return CONFIGS[self.impl].on_devices(self.devices, self.partition)
+
+    def graph(self) -> Csr:
+        """The input graph, shared through the process-wide build cache."""
+        return load_dataset(self.dataset, self.size, permuted=self.permuted)
+
+    def perturbation(self):
+        """The engine's pop-stagger hook for ``seed`` (``None`` when unperturbed)."""
+        if not self.seed:
+            return None
+        from repro.check.fuzz import perturbation
+
+        return perturbation(self.seed)
 
     def to_dict(self) -> dict:
         """JSON-ready form (the HTTP request body's ``job`` object)."""
-        doc = asdict(self)
+        doc = {("config" if k == "impl" else k): v for k, v in asdict(self).items()}
         doc["params"] = dict(self.params)
         return doc
 
     def describe(self) -> str:
-        bits = [f"{self.app}/{self.dataset}/{self.config}", f"size={self.size}"]
+        bits = [f"{self.app}/{self.dataset}/{self.impl}", f"size={self.size}"]
         if self.seed:
             bits.append(f"seed={self.seed}")
         if self.edits:
             bits.append(f"edits={self.edits}")
-        if self.devices and self.devices > 1:
+        if self.devices:
             bits.append(f"devices={self.devices}")
+        if self.partition:
+            bits.append(f"partition={self.partition}")
+        if self.permuted:
+            bits.append("permuted")
         return " ".join(bits)
 
 
-_SPEC_FIELDS = {f.name for f in fields(JobSpec)}
+#: the job document's keys: the RunSpec fields, with ``impl`` spelled ``config``
+_JOB_KEYS = {"config" if f.name == "impl" else f.name for f in fields(RunSpec)}
 
 
-def spec_from_dict(doc: object) -> JobSpec:
-    """Parse an untrusted JSON object into a :class:`JobSpec`.
+def spec_from_dict(doc: object) -> RunSpec:
+    """Parse an untrusted JSON job object into a :class:`RunSpec`.
 
     Raises :class:`JobSpecError` with a one-line message on anything
     malformed: wrong container type, unknown keys, wrong value types.
@@ -116,7 +154,7 @@ def spec_from_dict(doc: object) -> JobSpec:
     """
     if not isinstance(doc, dict):
         raise JobSpecError(f"job must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - _SPEC_FIELDS)
+    unknown = sorted(set(doc) - _JOB_KEYS)
     if unknown:
         raise JobSpecError(f"unknown job field(s): {', '.join(unknown)}")
     if "app" not in doc or "dataset" not in doc:
@@ -125,6 +163,8 @@ def spec_from_dict(doc: object) -> JobSpec:
     params = clean.pop("params", {})
     if not isinstance(params, dict):
         raise JobSpecError("'params' must be a JSON object")
+    if not all(v is None or isinstance(v, (str, int, float)) for v in params.values()):
+        raise JobSpecError("'params' values must be JSON scalars")
     for key, typ, label in (
         ("app", str, "a string"),
         ("dataset", str, "a string"),
@@ -140,30 +180,28 @@ def spec_from_dict(doc: object) -> JobSpec:
             raise JobSpecError(f"'{key}' must be a string or null")
     if clean.get("devices") is not None and not isinstance(clean["devices"], int):
         raise JobSpecError("'devices' must be an integer or null")
-    try:
-        return JobSpec(params=tuple(sorted(params.items())), **clean)
-    except TypeError as exc:  # defensive: surfaced as a schema error
-        raise JobSpecError(str(exc)) from exc
+    if "config" in clean:
+        clean["impl"] = clean.pop("config")
+    return RunSpec(params=params, **clean)
 
 
-def validate_spec(spec: JobSpec) -> None:
+def validate_spec(spec: RunSpec) -> None:
     """Resolve every name in ``spec``; raise :class:`JobSpecError` if any fails.
 
     Run by the broker *before* a job is queued, so a bad request is
-    rejected synchronously (HTTP 400) instead of burning a worker slot.
+    rejected synchronously (HTTP 400) instead of burning a worker slot,
+    and by ``repro run`` before it executes.
     """
     from repro.apps.common import APP_REGISTRY, get_adapter
-    from repro.core.config import CONFIGS
     from repro.core.policy import policy_for
-    from repro.graph.datasets import resolve_dataset
 
     if spec.app not in APP_REGISTRY:
         raise JobSpecError(
             f"unknown app {spec.app!r}; known: {', '.join(sorted(APP_REGISTRY))}"
         )
-    if spec.config not in CONFIGS:
+    if spec.impl not in CONFIGS:
         raise JobSpecError(
-            f"unknown config {spec.config!r}; known: {', '.join(sorted(CONFIGS))}"
+            f"unknown config {spec.impl!r}; known: {', '.join(sorted(CONFIGS))}"
         )
     if spec.size not in _SIZES:
         raise JobSpecError(f"unknown size {spec.size!r}; known: {', '.join(_SIZES)}")
@@ -184,7 +222,7 @@ def validate_spec(spec: JobSpec) -> None:
                 f"known: {', '.join(PARTITION_CHOICES)}"
             )
     adapter = get_adapter(spec.app)
-    config = CONFIGS[spec.config]
+    config = CONFIGS[spec.impl]
     if spec.edits is not None and not adapter.dynamic:
         raise JobSpecError(
             f"'edits' needs a dynamic app (bfs-inc, cc-inc, pagerank-inc); "
@@ -194,7 +232,7 @@ def validate_spec(spec: JobSpec) -> None:
         raise JobSpecError(f"dynamic app {spec.app!r} needs an 'edits' script")
     if spec.seed and policy_for(config).app_level:
         raise JobSpecError(
-            f"seed > 0 perturbs the engine schedule; config {spec.config!r} "
+            f"seed > 0 perturbs the engine schedule; config {spec.impl!r} "
             "runs at application level (BSP) and has no engine"
         )
     if spec.edits is not None:
@@ -207,74 +245,17 @@ def validate_spec(spec: JobSpec) -> None:
             )
 
 
-def effective_config(spec: JobSpec):
-    """The :class:`~repro.core.config.AtosConfig` the job actually runs.
-
-    Applies the spec's devices/partition rebase exactly like :class:`repro.harness.runner.Lab` does, so the config
-    digest inside :func:`job_key` addresses the *simulated machine*, not
-    the preset name the client typed.
-    """
-    from repro.core.config import CONFIGS, KernelStrategy
-
-    config = CONFIGS[spec.config]
-    if spec.devices and spec.devices > 1 and config.strategy is not KernelStrategy.BSP:
-        overrides: dict = {
-            "strategy": KernelStrategy.DISTRIBUTED,
-            "devices": spec.devices,
-        }
-        if spec.partition is not None:
-            overrides["partition"] = spec.partition
-        config = config.with_overrides(**overrides)
-    return config
-
-
-def dataset_digest(spec: JobSpec) -> str:
-    """Topology digest of the job's dataset at the job's size preset.
-
-    Goes through the process-wide build cache
-    (:mod:`repro.perf.buildcache`), so after the first request for a
-    (dataset, size) pair this is a dictionary lookup plus a memoised
-    digest read — cheap enough to run at submit time on every request.
-    """
-    from repro.graph.datasets import load_dataset, resolve_dataset
-
-    return load_dataset(resolve_dataset(spec.dataset), spec.size).topology_digest()
-
-
-def job_key(spec: JobSpec, *, graph_digest: str | None = None) -> str:
-    """The content address of one job (hex SHA-256).
-
-    Every component that can change the result is folded in;
-    everything cosmetic (config
-    *name*, dataset *alias*) is already normalised away by the digests.
-    Memoised per spec (datasets are immutable per (name, size), so the
-    address can never go stale) — this sits on the broker's warm path,
-    where recomputing the dataset digest would dominate hit latency.
-    """
-    if graph_digest is None:
-        try:
-            return _job_key_cached(spec)
-        except TypeError:
-            pass  # unhashable param value: compute without the memo
-    return _job_key_uncached(spec, graph_digest)
-
-
 @functools.lru_cache(maxsize=4096)
-def _job_key_cached(spec: JobSpec) -> str:
-    return _job_key_uncached(spec, None)
+def job_key(spec: RunSpec) -> str:
+    """The content address of one run (hex SHA-256 of the canonical spec).
 
-
-def _job_key_uncached(spec: JobSpec, graph_digest: str | None) -> str:
-    ident = {
-        "app": spec.app,
-        "dataset": graph_digest or dataset_digest(spec),
-        "config": effective_config(spec).digest(),
-        "seed": spec.seed,
-        "edits": spec.edits,
-        "permuted": spec.permuted,
-        "params": [[k, v] for k, v in spec.params],
-    }
-    payload = json.dumps(ident, sort_keys=True, separators=(",", ":"))
+    Every field is in it, the preset name included: :func:`result_digest`
+    covers ``impl``, so two presets with identical knobs are still two
+    answers.  Cosmetics (dataset alias, ``params`` order, ignored
+    device fields) were normalised away when the spec was built.
+    Memoised per spec — this sits on the broker's warm path.
+    """
+    payload = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -314,86 +295,47 @@ def result_digest(result: AppResult) -> str:
     return h.hexdigest()[:16]
 
 
-def execute_spec(spec: JobSpec, lab=None, *, sink=None) -> AppResult:
-    """Run one job to completion and return its :class:`AppResult`.
+def execute_spec(
+    spec: RunSpec,
+    *,
+    sink=None,
+    gpu: GpuSpec = V100_SPEC,
+    max_tasks: int = 20_000_000,
+    validate: bool = False,
+    metrics=False,
+) -> AppResult:
+    """Run one spec to completion and return its :class:`AppResult`.
 
-    The single execution path shared by the broker's worker pool and the
-    serial verification harness.  ``lab`` supplies warm state (graph and
-    result memos); ``None`` builds a fresh one — semantics are identical
-    either way because every run is deterministic.
+    The only code that turns a :class:`RunSpec` into a result: the Lab,
+    parallel sweeps, the broker's executor threads and ``repro run`` all
+    call it.  It holds no state — graphs come from the locked
+    process-wide build cache — so callers may memoise on the spec and
+    threads may share it.  ``sink``, ``validate`` (answer oracle plus
+    invariant monitor) and ``metrics`` (streaming telemetry) only observe
+    the run (see :func:`~repro.apps.common.run_app`); ``gpu`` and
+    ``max_tasks`` are the simulated device and the runaway guard, which
+    a :class:`~repro.harness.runner.Lab` sets and the service leaves at
+    their defaults.
 
-    ``sink`` attaches an observability sink (event capture for traced
-    jobs).  Sinks are passive — attaching one cannot change simulated
-    results — but a sink must observe a *fresh* execution, so a static
-    job with a sink routes through :meth:`Lab.run_config` (never
-    memoised) instead of the memoising :meth:`Lab.run`.
-
-    Dynamic jobs (``edits``) replay through
-    :func:`repro.apps.dynamic.replay_app` and return the *final epoch's*
-    result with replay totals folded into ``extra`` — NEVER through a
-    warm Lab's memo: the memo key (app, dataset, impl, permuted) does
-    not include the edit script, so serving replays from it would hand
-    job B whatever edit script job A ran (see
-    :meth:`repro.service.pool.LabPool.run` and the regression tests in
-    ``tests/test_perf.py``).
+    A spec with ``edits`` replays through
+    :func:`repro.apps.dynamic.replay_app` and returns the *final
+    epoch's* result with replay totals folded into ``extra``.
     """
-    from repro.harness.runner import Lab
+    common = dict(
+        spec=gpu, max_tasks=max_tasks, sink=sink, validate=validate,
+        perturb=spec.perturbation(), **dict(spec.params),
+    )
+    if spec.edits is None:
+        return run_app(spec.app, spec.graph(), spec.atos_config(), metrics=metrics, **common)
+    from repro.apps.dynamic import replay_app
 
-    validate_spec(spec)
-    if lab is None:
-        lab = Lab(
-            size=spec.size,
-            devices=spec.devices,
-            partition=spec.partition,
-        )
-    if spec.edits is not None:
-        dres = lab.replay(
-            spec.app, _resolved(spec), spec.config, spec.edits,
-            sink=sink, perturb=_perturb(spec), **dict(spec.params),
-        )
-        final = dres.final
-        final.extra["replay_edits"] = dres.edits
-        final.extra["replay_epochs"] = len(dres.epochs)
-        final.extra["replay_total_elapsed_ns"] = float(dres.total_elapsed_ns)
-        final.extra["replay_total_work_units"] = float(dres.total_work_units)
-        return final
-    if spec.seed or spec.params:
-        # perturbed or parameterised runs must not touch the Lab memo —
-        # its key has neither seed nor params
-        from repro.apps.common import run_app
-
-        return run_app(
-            spec.app,
-            lab.graph(_resolved(spec), permuted=spec.permuted),
-            effective_config(spec),
-            spec=lab.spec,
-            max_tasks=lab.max_tasks,
-            sink=sink,
-            perturb=_perturb(spec),
-            **dict(spec.params),
-        )
-    if sink is not None:
-        from repro.core.config import CONFIGS
-
-        return lab.run_config(
-            spec.app, _resolved(spec), CONFIGS[spec.config],
-            permuted=spec.permuted, sink=sink,
-        )
-    return lab.run(spec.app, _resolved(spec), spec.config, permuted=spec.permuted)
-
-
-def _resolved(spec: JobSpec) -> str:
-    from repro.graph.datasets import resolve_dataset
-
-    return resolve_dataset(spec.dataset)
-
-
-def _perturb(spec: JobSpec):
-    if not spec.seed:
-        return None
-    from repro.check.fuzz import perturbation
-
-    return perturbation(spec.seed)
+    dres = replay_app(spec.app, spec.graph(), spec.atos_config(), spec.edits, **common)
+    final = dres.final
+    final.extra["replay_edits"] = dres.edits
+    final.extra["replay_epochs"] = len(dres.epochs)
+    final.extra["replay_total_elapsed_ns"] = float(dres.total_elapsed_ns)
+    final.extra["replay_total_work_units"] = float(dres.total_work_units)
+    return final
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +356,7 @@ class JobResult:
     the broker runs with tracing off.
     """
 
-    spec: JobSpec
+    spec: RunSpec
     digest: str
     elapsed_ms: float
     work_units: float
@@ -446,7 +388,7 @@ class JobResult:
 
 
 def make_job_result(
-    spec: JobSpec,
+    spec: RunSpec,
     result: AppResult,
     *,
     cached: bool,

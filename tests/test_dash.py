@@ -29,7 +29,7 @@ from repro.dash import (
     trace_to_chrome,
     write_snapshot,
 )
-from repro.service import Broker, BrokerConfig, JobFailed, JobSpec, QueueFull
+from repro.service import Broker, BrokerConfig, JobFailed, QueueFull, RunSpec
 from repro.service.faults import FaultInjector
 from repro.service.http import ServiceServer
 
@@ -40,7 +40,7 @@ def _run(coro):
     return asyncio.run(coro)
 
 
-def _submit_one(config: BrokerConfig, spec: JobSpec, tenant: str = "t"):
+def _submit_one(config: BrokerConfig, spec: RunSpec, tenant: str = "t"):
     """Run one job through a fresh broker; returns (result, trace_doc)."""
 
     async def main():
@@ -128,7 +128,7 @@ class TestTracePrimitives:
 class TestBrokerTraces:
     def test_miss_trace_has_full_span_chain(self):
         result, doc = _submit_one(
-            BrokerConfig(workers=1), JobSpec(app="bfs", **TINY)
+            BrokerConfig(workers=1), RunSpec(app="bfs", **TINY)
         )
         assert result.trace_id and doc is not None
         assert doc["schema"] == "repro.dash/trace-v1"
@@ -143,7 +143,7 @@ class TestBrokerTraces:
     def test_cache_hit_trace_has_no_engine_span(self):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 first = await broker.submit(spec, tenant="t")
                 second = await broker.submit(spec, tenant="t")
                 return (
@@ -162,7 +162,7 @@ class TestBrokerTraces:
     def test_coalesced_traces_share_one_engine_span(self):
         async def main():
             async with Broker(BrokerConfig(workers=2)) as broker:
-                spec = JobSpec(app="pagerank", **TINY)
+                spec = RunSpec(app="pagerank", **TINY)
                 a, b = await asyncio.gather(
                     broker.submit(spec, tenant="a"), broker.submit(spec, tenant="b")
                 )
@@ -190,7 +190,7 @@ class TestBrokerTraces:
         faults.script_kills(1)
         config = BrokerConfig(workers=1, max_attempts=3,
                               retry_backoff_s=0.0, faults=faults)
-        result, doc = _submit_one(config, JobSpec(app="bfs", **TINY))
+        result, doc = _submit_one(config, RunSpec(app="bfs", **TINY))
         assert result.attempts == 2
         attempts = [s for s in doc["spans"] if s["name"] == "attempt"]
         assert len(attempts) == 2
@@ -206,7 +206,7 @@ class TestBrokerTraces:
     def test_failed_job_trace_is_retained_with_error_root(self):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", dataset="roadNet-CA", size="tiny",
+                spec = RunSpec(app="bfs", dataset="roadNet-CA", size="tiny",
                                params=(("source", 10**9),))
                 with pytest.raises(JobFailed):
                     await broker.submit(spec, tenant="t")
@@ -224,7 +224,7 @@ class TestBrokerTraces:
         async def main():
             config = BrokerConfig(workers=1, tenant_queue_limit=1)
             async with Broker(config) as broker:
-                specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(6)]
+                specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(6)]
                 results = await asyncio.gather(
                     *(broker.submit(s, tenant="t") for s in specs),
                     return_exceptions=True,
@@ -237,14 +237,14 @@ class TestBrokerTraces:
 
     def test_tracing_off_means_absent(self):
         result, doc = _submit_one(
-            BrokerConfig(workers=1, tracing=False), JobSpec(app="bfs", **TINY)
+            BrokerConfig(workers=1, tracing=False), RunSpec(app="bfs", **TINY)
         )
         assert result.trace_id is None
         assert doc is None
         assert "trace_id" in result.to_dict()  # field stays schema-stable
 
     def test_span_accounting_reconciles_to_wall_time(self):
-        _, doc = _submit_one(BrokerConfig(workers=1), JobSpec(app="bfs", **TINY))
+        _, doc = _submit_one(BrokerConfig(workers=1), RunSpec(app="bfs", **TINY))
         root = next(s for s in doc["spans"] if s["name"] == "job")
         assert doc["wall_ms"] == pytest.approx(root["duration_ns"] / 1e6)
         children = [s for s in doc["spans"] if s["parent_id"] == root["span_id"]]
@@ -269,7 +269,7 @@ class TestBrokerTraces:
 class TestMergedChrome:
     def test_trace_events_capture_engine_stream(self):
         config = BrokerConfig(workers=1, trace_events=True)
-        result, doc = _submit_one(config, JobSpec(app="bfs", **TINY))
+        result, doc = _submit_one(config, RunSpec(app="bfs", **TINY))
         engine_doc = doc.get("engine")
         assert engine_doc is not None
         assert engine_doc["otherData"]["trace_id"] == result.trace_id
@@ -278,7 +278,7 @@ class TestMergedChrome:
 
     def test_merged_chrome_doc_spans_both_clocks(self):
         config = BrokerConfig(workers=1, trace_events=True)
-        result, doc = _submit_one(config, JobSpec(app="bfs", **TINY))
+        result, doc = _submit_one(config, RunSpec(app="bfs", **TINY))
         merged = trace_to_chrome(doc)
         pids = {e["pid"] for e in merged["traceEvents"]}
         assert pids == {1, 2}
@@ -296,13 +296,13 @@ class TestMergedChrome:
         json.dumps(merged)
 
     def test_merged_chrome_without_capture_has_broker_pid_only(self):
-        _, doc = _submit_one(BrokerConfig(workers=1), JobSpec(app="bfs", **TINY))
+        _, doc = _submit_one(BrokerConfig(workers=1), RunSpec(app="bfs", **TINY))
         merged = trace_to_chrome(doc)
         assert {e["pid"] for e in merged["traceEvents"]} == {1}
         assert "engine_digest" not in merged["otherData"]
 
     def test_worker_lane_metadata(self):
-        _, doc = _submit_one(BrokerConfig(workers=1), JobSpec(app="bfs", **TINY))
+        _, doc = _submit_one(BrokerConfig(workers=1), RunSpec(app="bfs", **TINY))
         merged = trace_to_chrome(doc)
         lanes = [
             e["args"]["name"] for e in merged["traceEvents"]
@@ -313,8 +313,8 @@ class TestMergedChrome:
 
     def test_dynamic_job_gets_epoch_child_spans(self):
         config = BrokerConfig(workers=1, trace_events=True)
-        spec = JobSpec(app="bfs-inc", dataset="roadNet-CA", size="tiny",
-                       config="persist-CTA", edits="2x16@3")
+        spec = RunSpec(app="bfs-inc", dataset="roadNet-CA", size="tiny",
+                       impl="persist-CTA", edits="2x16@3")
         _, doc = _submit_one(config, spec)
         engine = next(s for s in doc["spans"] if s["name"] == "engine")
         epochs = [s for s in doc["spans"] if s["name"].startswith("epoch ")]
@@ -327,7 +327,7 @@ class TestMergedChrome:
 
     def test_static_job_has_no_epoch_spans(self):
         config = BrokerConfig(workers=1, trace_events=True)
-        _, doc = _submit_one(config, JobSpec(app="bfs", **TINY))
+        _, doc = _submit_one(config, RunSpec(app="bfs", **TINY))
         assert not [s for s in doc["spans"] if s["name"].startswith("epoch ")]
 
 
@@ -363,7 +363,7 @@ class TestServiceSeries:
     def test_broker_timeseries_document(self):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 await broker.submit(spec, tenant="a")
                 await broker.submit(spec, tenant="a")  # hit
                 return broker.timeseries()
@@ -506,7 +506,7 @@ class TestSnapshots:
     def test_service_snapshot_embeds_details(self, tmp_path):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 await broker.submit(spec, tenant="a")
                 await broker.submit(spec, tenant="b")
                 return service_snapshot(_LoopbackClient(broker))

@@ -184,23 +184,29 @@ def test_distributed_run_matches_golden(graph, preset, app, seed):
 
 
 class TestLabDeviceOverride:
+    """The Lab's device knobs reach a run through its RunSpec's one rebase."""
+
     def test_devices_one_is_passthrough(self):
-        lab = Lab(devices=1)
         cfg = CONFIGS["persist-CTA"]
-        assert lab._effective_config(cfg) is cfg
+        assert cfg.on_devices(1) is cfg
+        spec = Lab(devices=1)._cell("bfs", "roadNet-CA", "persist-CTA", False)
+        assert spec.devices is None and spec.atos_config() is cfg
 
     def test_rebase_keeps_name_and_sets_strategy(self):
-        lab = Lab(devices=4, partition="contiguous")
-        cfg = lab._effective_config(CONFIGS["persist-CTA"])
+        spec = Lab(devices=4, partition="contiguous")._cell(
+            "bfs", "roadNet-CA", "persist-CTA", False
+        )
+        cfg = spec.atos_config()
         assert cfg.name == "persist-CTA"  # cells stay comparable across ladders
         assert cfg.strategy is KernelStrategy.DISTRIBUTED
         assert cfg.devices == 4
         assert cfg.partition == "contiguous"
 
     def test_bsp_passes_through(self):
-        lab = Lab(devices=4)
         cfg = CONFIGS["BSP"]
-        assert lab._effective_config(cfg) is cfg
+        assert cfg.on_devices(4) is cfg
+        spec = Lab(devices=4)._cell("bfs", "roadNet-CA", "BSP", False)
+        assert spec.devices is None and spec.atos_config() is cfg
 
 
 class TestDeviceMetricsSurface:

@@ -35,7 +35,8 @@ from repro.perf.bench import (
     validate_report,
 )
 from repro.perf.buildcache import cache_clear, cache_info, cached_graph
-from repro.perf.parallel import CellError, SweepCell, run_cells
+from repro.perf.parallel import CellError, run_cells
+from repro.service.jobs import RunSpec, execute_spec, result_digest
 from repro.sim.cost import make_cost_fn, task_cost
 from repro.sim.memory import BandwidthServer
 from repro.sim.spec import V100_SPEC
@@ -266,13 +267,16 @@ def test_parallel_results_prime_lab_memo():
     assert lab.run("bfs", "roadNet-CA", "persist-warp") is results[0]
 
 
+TINY = dict(size="tiny")
+
+
 @pytest.mark.parametrize("workers", [None, 2])
 def test_bad_cell_surfaces_as_cell_error(workers):
     """A failing cell yields a CellError in its slot; the rest complete."""
     cells = [
-        SweepCell("bfs", "roadNet-CA", "persist-warp"),
-        SweepCell("nosuchapp", "roadNet-CA", "persist-warp"),
-        SweepCell("cc", "roadNet-CA", "persist-warp"),
+        RunSpec("bfs", "roadNet-CA", "persist-warp"),
+        RunSpec("nosuchapp", "roadNet-CA", "persist-warp"),
+        RunSpec("cc", "roadNet-CA", "persist-warp"),
     ]
     out = run_cells(cells, size="tiny", workers=workers)
     assert isinstance(out[0], AppResult)
@@ -285,11 +289,11 @@ def test_bad_cell_surfaces_as_cell_error(workers):
 def test_worker_crash_surfaces_not_hangs():
     """A worker process dying mid-cell becomes per-cell errors, not a hang."""
     cells = [
-        SweepCell("bfs", "roadNet-CA", "persist-warp"),
-        SweepCell("__kill_worker__", "roadNet-CA", "persist-warp"),
-        SweepCell("cc", "roadNet-CA", "persist-warp"),
+        RunSpec("bfs", "roadNet-CA", "persist-warp"),
+        RunSpec("__kill_worker__", "roadNet-CA", "persist-warp"),
+        RunSpec("cc", "roadNet-CA", "persist-warp"),
     ]
-    out = run_cells(cells, size="tiny", workers=2, generation=777)
+    out = run_cells(cells, size="tiny", workers=2)
     assert len(out) == 3
     # the poisoned cell reports an error (BrokenProcessPool when its
     # worker died, or the unknown-app KeyError if the guard fired first)
@@ -302,26 +306,21 @@ def test_worker_crash_surfaces_not_hangs():
 
 
 def test_run_cells_serial_matches_workers_zero_and_one():
-    cells = [SweepCell("bfs", "roadNet-CA", "persist-warp")]
+    cells = [RunSpec("bfs", "roadNet-CA", "persist-warp")]
     for workers in (None, 0, 1):
         out = run_cells(cells, size="tiny", workers=workers)
         assert isinstance(out[0], AppResult)
 
 
 def test_serial_run_cells_keeps_main_process_clean():
-    """Regression: the serial path used to run cells through the
-    module-global `_WORKER_LAB` cache meant for pool worker processes,
-    installing a warm Lab into the caller's process that replayed
-    memoised results across subsequent serial sweeps and tests."""
-    from repro.perf import parallel
-
-    cells = [SweepCell("bfs", "roadNet-CA", "persist-warp")]
-    first = run_cells(cells, size="tiny", workers=None, generation=0)
-    assert parallel._WORKER_LAB is None and parallel._WORKER_KEY is None
-    second = run_cells(cells, size="tiny", workers=None, generation=1)
-    assert parallel._WORKER_LAB is None and parallel._WORKER_KEY is None
-    # a bumped generation re-simulates (fresh result object) and, the
-    # engine being deterministic, lands on the same simulated clock
+    """Regression: the serial path used to install a warm Lab into the
+    caller's process that replayed memoised results across later serial
+    sweeps.  Every call must re-simulate."""
+    cells = [RunSpec("bfs", "roadNet-CA", "persist-warp")]
+    first = run_cells(cells, size="tiny", workers=None)
+    second = run_cells(cells, size="tiny", workers=None)
+    # a second call re-simulates (fresh result object) and, the engine
+    # being deterministic, lands on the same simulated clock
     assert isinstance(first[0], AppResult) and isinstance(second[0], AppResult)
     assert second[0] is not first[0]
     assert second[0].elapsed_ns == first[0].elapsed_ns
@@ -329,14 +328,13 @@ def test_serial_run_cells_keeps_main_process_clean():
 
 def test_dynamic_cells_never_touch_the_run_memo():
     """Regression: dynamic (edit-replay) cells used to fold their final
-    epoch into the Lab run memo under (app, dataset, impl, permuted) — a
-    key with no edit script — so a later static ``lab.run`` of the same
-    coordinates, or a sibling cell with a *different* edit script, was
-    silently served whichever replay happened to land first."""
+    epoch into the Lab run memo under a key with no edit script, so a
+    sibling cell with a *different* edit script was silently served
+    whichever replay happened to land first."""
     lab = Lab(size="tiny")
     cells = [
-        SweepCell("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3"),
-        SweepCell("bfs-inc", "roadNet-CA", "persist-CTA", edits="3x8@9"),
+        RunSpec("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3", **TINY),
+        RunSpec("bfs-inc", "roadNet-CA", "persist-CTA", edits="3x8@9", **TINY),
     ]
     out = lab.run_cells(cells, workers=2)
     assert all(isinstance(r, AppResult) for r in out)
@@ -347,14 +345,12 @@ def test_dynamic_cells_never_touch_the_run_memo():
     assert out[1].extra["replay_epochs"] == 4
     # distinct edit scripts are distinct workloads, not one memo slot
     assert out[0].elapsed_ns != out[1].elapsed_ns
-    # the memo must stay clean of the dynamic coordinates
-    assert ("bfs-inc", "roadNet-CA", "persist-CTA", False) not in lab._results
 
 
 def test_dynamic_cells_serial_matches_parallel():
     cells = [
-        SweepCell("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3"),
-        SweepCell("pagerank-inc", "roadNet-CA", "persist-CTA", edits="2x8@5"),
+        RunSpec("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3"),
+        RunSpec("pagerank-inc", "roadNet-CA", "persist-CTA", edits="2x8@5"),
     ]
     serial = run_cells(cells, size="tiny", workers=None)
     parallel_out = run_cells(cells, size="tiny", workers=2)
@@ -371,26 +367,24 @@ def test_static_run_after_dynamic_sweep_is_fresh():
     ref = Lab(size="tiny").run("bfs", "roadNet-CA", "persist-CTA")
     lab = Lab(size="tiny")
     mixed = [
-        SweepCell("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3"),
-        SweepCell("bfs", "roadNet-CA", "persist-warp"),
+        RunSpec("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3", **TINY),
+        RunSpec("bfs", "roadNet-CA", "persist-warp", **TINY),
     ]
-    lab.run_cells(mixed, workers=2)
+    out = lab.run_cells(mixed, workers=2)
     after = lab.run("bfs", "roadNet-CA", "persist-CTA")
     assert after.elapsed_ns == ref.elapsed_ns
     assert np.array_equal(after.output, ref.output)
     # the static sibling cell, by contrast, IS folded back into the memo
-    assert ("bfs", "roadNet-CA", "persist-warp", False) in lab._results
+    assert lab.run("bfs", "roadNet-CA", "persist-warp") is out[1]
 
 
 def test_dynamic_serial_cells_leave_no_warm_lab_behind():
-    from repro.perf import parallel
-
-    run_cells(
-        [SweepCell("bfs-inc", "roadNet-CA", "persist-CTA", edits="2x16@3")],
-        size="tiny",
-        workers=None,
-    )
-    assert parallel._WORKER_LAB is None and parallel._WORKER_KEY is None
+    """Back-to-back serial replays share nothing: each equals its own
+    fresh execute_spec reference."""
+    for edits in ("2x16@3", "3x8@9"):
+        spec = RunSpec("bfs-inc", "roadNet-CA", "persist-CTA", edits=edits, **TINY)
+        [res] = run_cells([spec], workers=None)
+        assert result_digest(res) == result_digest(execute_spec(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,22 @@ The >=1000-client load storm lives in the ``slow`` tier
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
     Broker,
     BrokerClosed,
     BrokerConfig,
-    JobSpec,
     JobSpecError,
     QueueFull,
     ResultCache,
+    RunSpec,
     execute_spec,
     job_key,
     result_digest,
@@ -48,7 +49,7 @@ def _run(coro):
 # ---------------------------------------------------------------------------
 class TestJobSpec:
     def test_round_trip_dict(self):
-        spec = JobSpec(app="bfs", **TINY, seed=2, params=(("source", 0),))
+        spec = RunSpec(app="bfs", **TINY, seed=2, params=(("source", 0),))
         again = spec_from_dict(spec.to_dict())
         assert again == spec
 
@@ -61,6 +62,8 @@ class TestJobSpec:
             ({"app": 7, "dataset": "roadNet-CA"}, "'app' must be a string"),
             ({"app": "bfs", "dataset": "roadNet-CA", "seed": "x"}, "'seed' must be"),
             ({"app": "bfs", "dataset": "roadNet-CA", "params": 3}, "'params' must be"),
+            ({"app": "bfs", "dataset": "roadNet-CA", "params": {"source": [1]}},
+             "'params' values must be JSON scalars"),
         ],
     )
     def test_malformed_docs_rejected(self, doc, fragment):
@@ -94,21 +97,40 @@ class TestJobSpec:
 # ---------------------------------------------------------------------------
 # Content addressing
 # ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _digest(spec: RunSpec) -> str:
+    return result_digest(execute_spec(spec))
+
+
+@st.composite
+def _identity_specs(draw) -> RunSpec:
+    impl = draw(st.sampled_from(["persist-CTA", "dist-2", "BSP"]))
+    return RunSpec(
+        app="bfs",
+        dataset=draw(st.sampled_from(["roadNet-CA", "roadnet_ca_sim"])),
+        impl=impl,
+        size="tiny",
+        seed=0 if impl == "BSP" else draw(st.sampled_from([0, 1])),
+        devices=draw(st.sampled_from([None, 1, 2])),
+        partition=draw(st.sampled_from([None, "hash"])),
+    )
+
+
 class TestJobKey:
     def test_deterministic(self):
-        a = JobSpec(app="bfs", **TINY)
-        b = JobSpec(app="bfs", **TINY)
+        a = RunSpec(app="bfs", **TINY)
+        b = RunSpec(app="bfs", **TINY)
         assert job_key(a) == job_key(b)
 
     def test_dataset_alias_shares_key(self):
-        # aliases resolve to the same topology, hence the same address
-        a = JobSpec(app="bfs", dataset="roadNet-CA", size="tiny")
-        b = JobSpec(app="bfs", dataset="roadnet_ca_sim", size="tiny")
+        # an alias canonicalises to the registry key, hence the same address
+        a = RunSpec(app="bfs", dataset="roadNet-CA", size="tiny")
+        b = RunSpec(app="bfs", dataset="roadnet_ca_sim", size="tiny")
         assert job_key(a) == job_key(b)
 
     def test_size_changes_key(self):
-        a = JobSpec(app="bfs", dataset="roadNet-CA", size="tiny")
-        b = JobSpec(app="bfs", dataset="roadNet-CA", size="small")
+        a = RunSpec(app="bfs", dataset="roadNet-CA", size="tiny")
+        b = RunSpec(app="bfs", dataset="roadNet-CA", size="small")
         assert job_key(a) != job_key(b)
 
     @pytest.mark.parametrize(
@@ -118,13 +140,13 @@ class TestJobKey:
             dict(edits="2x16@3"),
             dict(permuted=True),
             dict(params=(("source", 5),)),
-            dict(config="persist-warp"),
+            dict(impl="persist-warp"),
             dict(devices=2),
         ],
     )
     def test_every_identity_knob_changes_key(self, variant):
-        base = JobSpec(app="bfs", **TINY)
-        assert job_key(JobSpec(app="bfs", **TINY, **variant)) != job_key(base)
+        base = RunSpec(app="bfs", **TINY)
+        assert job_key(RunSpec(app="bfs", **TINY, **variant)) != job_key(base)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -135,9 +157,23 @@ class TestJobKey:
         """The cache-key safety property: configs differing only in seed
         must never share a cache entry (a seed selects a distinct
         perturbed schedule, so sharing would serve the wrong run)."""
-        a = job_key(JobSpec(app="bfs", **TINY, seed=seed_a))
-        b = job_key(JobSpec(app="bfs", **TINY, seed=seed_b))
+        a = job_key(RunSpec(app="bfs", **TINY, seed=seed_a))
+        b = job_key(RunSpec(app="bfs", **TINY, seed=seed_b))
         assert (a == b) == (seed_a == seed_b)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_identity_specs(), b=_identity_specs())
+    @example(a=RunSpec(app="bfs", **TINY, impl="dist-2"),
+             b=RunSpec(app="bfs", **TINY, devices=2))
+    def test_equal_keys_imply_equal_results(self, a, b):
+        """The cache's soundness property: a shared entry is never another
+        run's answer.  The spec space is small on purpose (aliases,
+        ignored device fields, presets with identical knobs) so that
+        distinct spellings of one run collide often; the pinned example
+        is two presets whose rebased knobs are equal but whose results
+        differ by name."""
+        if job_key(a) == job_key(b):
+            assert _digest(a) == _digest(b)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +181,7 @@ class TestJobKey:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def bfs_tiny_result():
-    return execute_spec(JobSpec(app="bfs", **TINY))
+    return execute_spec(RunSpec(app="bfs", **TINY))
 
 
 class TestResultCache:
@@ -213,19 +249,19 @@ class TestBroker:
     def test_cold_then_warm_hit_digest_identical(self):
         async def main():
             async with Broker(BrokerConfig(workers=2)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 cold = await broker.submit(spec)
                 warm = await broker.submit(spec)
                 return cold, warm
 
         cold, warm = _run(main())
-        ref = result_digest(execute_spec(JobSpec(app="bfs", **TINY)))
+        ref = result_digest(execute_spec(RunSpec(app="bfs", **TINY)))
         assert cold.digest == warm.digest == ref
         assert not cold.cached and warm.cached
 
     def test_concurrent_clients_match_serial_digests(self):
         """Tier-1 storm: concurrent mixed-tenant clients, 100% digest match."""
-        specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(4)]
+        specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(4)]
         refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
         async def main():
@@ -244,7 +280,7 @@ class TestBroker:
 
     def test_cold_jobs_count_one_miss_each(self):
         """Regression: the worker's re-check counted every cold job twice."""
-        specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(3)]
+        specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(3)]
 
         async def main():
             async with Broker(BrokerConfig(workers=2)) as broker:
@@ -259,7 +295,7 @@ class TestBroker:
     def test_single_flight_coalesces_identical_jobs(self):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="pagerank", **TINY)
+                spec = RunSpec(app="pagerank", **TINY)
                 t1 = asyncio.ensure_future(broker.submit(spec))
                 t2 = asyncio.ensure_future(broker.submit(spec))
                 r1, r2 = await asyncio.gather(t1, t2)
@@ -276,7 +312,7 @@ class TestBroker:
             async with Broker(config) as broker:
                 jobs = [
                     asyncio.ensure_future(
-                        broker.submit(JobSpec(app="bfs", **TINY, seed=s), tenant="flood")
+                        broker.submit(RunSpec(app="bfs", **TINY, seed=s), tenant="flood")
                     )
                     for s in range(8)
                 ]
@@ -288,7 +324,7 @@ class TestBroker:
         completions = [r for r in settled if not isinstance(r, BaseException)]
         assert rejections, "overflowing the tenant bound must raise QueueFull"
         assert stats.rejected == len(rejections)
-        ref = result_digest(execute_spec(JobSpec(app="bfs", **TINY, seed=0)))
+        ref = result_digest(execute_spec(RunSpec(app="bfs", **TINY, seed=0)))
         for res in completions:
             if res.spec.seed == 0:
                 assert res.digest == ref
@@ -306,10 +342,10 @@ class TestBroker:
                     order.append(tenant)
 
                 jobs = [
-                    one(JobSpec(app="bfs", **TINY, seed=10 + s), "flood")
+                    one(RunSpec(app="bfs", **TINY, seed=10 + s), "flood")
                     for s in range(4)
                 ]
-                jobs.append(one(JobSpec(app="bfs", **TINY, seed=99), "light"))
+                jobs.append(one(RunSpec(app="bfs", **TINY, seed=99), "light"))
                 await asyncio.gather(*jobs)
 
         _run(main())
@@ -320,14 +356,14 @@ class TestBroker:
             broker = Broker(BrokerConfig(workers=1))
             await broker.start()
             jobs = [
-                asyncio.ensure_future(broker.submit(JobSpec(app="bfs", **TINY, seed=s)))
+                asyncio.ensure_future(broker.submit(RunSpec(app="bfs", **TINY, seed=s)))
                 for s in range(3)
             ]
             await asyncio.sleep(0)  # let submits enqueue
             await broker.drain()
             results = await asyncio.gather(*jobs)
             with pytest.raises(BrokerClosed):
-                await broker.submit(JobSpec(app="bfs", **TINY))
+                await broker.submit(RunSpec(app="bfs", **TINY))
             return results
 
         results = _run(main())
@@ -337,12 +373,12 @@ class TestBroker:
     def test_dynamic_job_never_served_from_static_entry(self):
         async def main():
             async with Broker(BrokerConfig(workers=2)) as broker:
-                static = await broker.submit(JobSpec(app="bfs", **TINY))
+                static = await broker.submit(RunSpec(app="bfs", **TINY))
                 dyn_a = await broker.submit(
-                    JobSpec(app="bfs-inc", **TINY, edits="2x16@3")
+                    RunSpec(app="bfs-inc", **TINY, edits="2x16@3")
                 )
                 dyn_b = await broker.submit(
-                    JobSpec(app="bfs-inc", **TINY, edits="3x8@9")
+                    RunSpec(app="bfs-inc", **TINY, edits="3x8@9")
                 )
                 return static, dyn_a, dyn_b
 
@@ -350,6 +386,22 @@ class TestBroker:
         assert len({static.digest, dyn_a.digest, dyn_b.digest}) == 3
         assert dyn_a.extra["replay_edits"] == "2x16@3"
         assert dyn_b.extra["replay_edits"] == "3x8@9"
+
+    def test_rebased_preset_never_served_another_presets_result(self):
+        """Regression: dist-2 and persist-CTA on 2 devices simulate the same
+        machine, and the cache once keyed both to one entry, so the second
+        job got the first preset's answer (its result names the preset)."""
+        dist = RunSpec(app="bfs", **TINY, impl="dist-2")
+        rebased = RunSpec(app="bfs", **TINY, devices=2)
+
+        async def main():
+            async with Broker(BrokerConfig(workers=1)) as broker:
+                return [await broker.submit(dist), await broker.submit(rebased)]
+
+        first, second = _run(main())
+        assert first.digest == result_digest(execute_spec(dist))
+        assert second.digest == result_digest(execute_spec(rebased))
+        assert not second.cached
 
     def test_bad_spec_rejected_before_queueing(self):
         async def main():
@@ -364,7 +416,7 @@ class TestBroker:
     def test_latency_histograms_populated(self):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 await broker.submit(spec)
                 await broker.submit(spec)
                 return broker.stats()
@@ -379,7 +431,7 @@ class TestBroker:
 def test_load_storm_1000_clients_digest_match():
     """The acceptance load test: >=1000 concurrent clients across tenants,
     every response digest-identical to the serial reference."""
-    specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(5)]
+    specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(5)]
     refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
     async def main():
@@ -439,7 +491,7 @@ class TestHttp:
         assert s1 == 200 and s2 == 200
         assert r1["digest"] == r2["digest"]
         assert r1["cached"] is False and r2["cached"] is True
-        ref = result_digest(execute_spec(JobSpec(app="bfs", **TINY)))
+        ref = result_digest(execute_spec(RunSpec(app="bfs", **TINY)))
         assert r1["digest"] == ref
         assert s3 == 200 and stats["schema"] == "repro.service/stats-v1"
         assert stats["submitted"] == 2
@@ -513,7 +565,7 @@ def _tenant_stats_doc() -> dict:
 
     async def main():
         async with Broker(BrokerConfig(workers=2, tenant_queue_limit=1)) as broker:
-            spec = JobSpec(app="bfs", **TINY)
+            spec = RunSpec(app="bfs", **TINY)
             await broker.submit(spec, tenant="alpha")
             await broker.submit(spec, tenant="alpha")  # warm hit
             await broker.submit(spec, tenant="beta")

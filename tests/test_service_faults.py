@@ -25,7 +25,7 @@ from repro.service import (
     BrokerConfig,
     FaultInjector,
     JobFailed,
-    JobSpec,
+    RunSpec,
     WorkerKilled,
     execute_spec,
     job_key,
@@ -41,7 +41,7 @@ def _run(coro):
 
 @pytest.fixture(scope="module")
 def bfs_ref() -> str:
-    return result_digest(execute_spec(JobSpec(app="bfs", **TINY)))
+    return result_digest(execute_spec(RunSpec(app="bfs", **TINY)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ class TestKillRecovery:
             faults.script_kills(1)
             config = BrokerConfig(workers=1, faults=faults, retry_backoff_s=0.001)
             async with Broker(config) as broker:
-                result = await broker.submit(JobSpec(app="bfs", **TINY))
+                result = await broker.submit(RunSpec(app="bfs", **TINY))
                 return result, broker.stats()
 
         result, stats = _run(main())
@@ -124,9 +124,9 @@ class TestKillRecovery:
             )
             async with Broker(config) as broker:
                 with pytest.raises(JobFailed, match="gave up after 3 attempts"):
-                    await broker.submit(JobSpec(app="bfs", **TINY))
+                    await broker.submit(RunSpec(app="bfs", **TINY))
                 # the broker survives: the very next submit succeeds
-                result = await broker.submit(JobSpec(app="bfs", **TINY))
+                result = await broker.submit(RunSpec(app="bfs", **TINY))
                 return result, broker.stats()
 
         result, stats = _run(main())
@@ -135,7 +135,7 @@ class TestKillRecovery:
         assert stats.retries == 2, "the third kill ends the job, not a retry"
 
     def test_probabilistic_kills_under_load_all_digests_correct(self):
-        specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(3)]
+        specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(3)]
         refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
         async def main():
@@ -173,7 +173,7 @@ class TestTimeouts:
             )
             async with Broker(config) as broker:
                 with pytest.raises(JobFailed, match="exceeded 0.05s"):
-                    await broker.submit(JobSpec(app="bfs", **TINY))
+                    await broker.submit(RunSpec(app="bfs", **TINY))
                 return broker.stats()
 
         stats = _run(main())
@@ -199,7 +199,7 @@ class TestTimeouts:
                 retry_backoff_s=0.001,
             )
             async with Broker(config) as broker:
-                result = await broker.submit(JobSpec(app="bfs", **TINY))
+                result = await broker.submit(RunSpec(app="bfs", **TINY))
                 return result, broker.stats()
 
         result, stats = _run(main())
@@ -215,7 +215,7 @@ class TestPoisonRecovery:
     def test_poisoned_entry_recomputed_digest_correct(self, bfs_ref):
         async def main():
             async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = JobSpec(app="bfs", **TINY)
+                spec = RunSpec(app="bfs", **TINY)
                 first = await broker.submit(spec)
                 assert broker.cache.corrupt(job_key(spec))
                 second = await broker.submit(spec)
@@ -228,7 +228,7 @@ class TestPoisonRecovery:
         assert stats.completed == 2, "detection forces a recompute"
 
     def test_poison_storm_never_serves_corruption(self):
-        specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(3)]
+        specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(3)]
         refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
         async def main():
@@ -249,7 +249,7 @@ class TestPoisonRecovery:
 
     def test_poison_detection_is_not_a_failure_mode(self, bfs_ref):
         """Mixed chaos: kills, delays and poisons together, digests exact."""
-        specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(4)]
+        specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(4)]
         refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
         async def main():
@@ -280,7 +280,7 @@ class TestPoisonRecovery:
 # Drain under fire
 # ---------------------------------------------------------------------------
 def test_graceful_drain_under_faults():
-    specs = [JobSpec(app="bfs", **TINY, seed=s) for s in range(4)]
+    specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(4)]
     refs = {job_key(s): result_digest(execute_spec(s)) for s in specs}
 
     async def main():
