@@ -686,7 +686,7 @@ def _build_serve_parser() -> argparse.ArgumentParser:
         description=(
             "Run the scheduler-as-a-service broker: an HTTP JSON API over "
             "the async job broker with content-addressed result caching "
-            "(POST /v1/jobs, GET /v1/stats, GET /v1/timeseries, GET /v1/traces, "
+            "(POST /v1/jobs, GET /v1/stats, GET /v1/traces, "
             "GET /dash, GET /metrics, GET /healthz)."
         ),
     )

@@ -9,17 +9,21 @@ CI artifact.
 Two data modes, one page:
 
 * **live** — ``window.SNAPSHOT`` is ``null``; the page polls
-  ``/v1/timeseries`` (series + embedded stats) and ``/v1/traces`` every
-  second and re-renders.  Clicking a trace row fetches
-  ``/v1/traces/<id>`` for the span waterfall.
+  ``/v1/stats`` (the broker's ``repro.service/stats-v2`` document:
+  counters, gauges, histograms, wall-clock series, tenants) and
+  ``/v1/traces`` every second and re-renders.  Clicking a trace row
+  fetches ``/v1/traces/<id>`` for the span waterfall.
 * **snapshot** — ``window.SNAPSHOT`` carries the same documents (plus
   pre-fetched trace details, plus optionally an ``engine`` block for
   Collector-only offline runs); polling is skipped and the page renders
   once.
 
-The panel set follows the dask ``distributed/bokeh`` idiom the ROADMAP
-names: task-stream lanes per worker, queue-depth and occupancy strips,
-per-tenant throughput, cache hit ratio, and latency histograms.
+The panel set follows the dask ``distributed/bokeh`` idiom: task-stream
+lanes per worker, queue-depth and occupancy strips, per-tenant
+submissions, cache hit ratio, and latency histograms.  The script spells
+every read of the stats document as ``stats.<path>`` or, for a
+``tenants`` entry, ``tenant.<key>`` — ``tests/test_dash.py`` resolves
+each one against a live broker's document.
 """
 
 from __future__ import annotations
@@ -169,33 +173,37 @@ function panel(title, body, wide) {
   return `<div class="panel${wide ? " wide" : ""}"><h2>${esc(title)}</h2>${body}</div>`;
 }
 
-function renderService(ts, traces, details) {
-  const stats = ts.stats || {};
-  const cache = stats.cache || {};
-  const s = ts.series || {};
-  const val = (n) => (s[n] && s[n].values) || [];
-  const rate = (n) => {
-    const d = s[n]; if (!d || !d.values.length) return [];
-    return d.values.map(v => v / (d.stride_ns / 1e9)); // per second
-  };
-  $("wall").textContent = `wall ${fmt(ts.wall_s, 1)}s`;
-  $("cards").innerHTML =
-    card("submitted", fmt(stats.submitted)) +
-    card("completed", fmt(stats.completed)) +
-    card("cache hit ratio", fmt(100 * (cache.hit_ratio || 0), 1) + "%") +
-    card("coalesced", fmt(stats.coalesced)) +
-    card("queue depth", fmt(stats.queue_depth)) +
-    card("peak depth", fmt(stats.peak_queue_depth)) +
-    card("failed", fmt((stats.failed || 0) + (stats.rejected || 0))) +
-    card("tenants", fmt(stats.tenants)) +
-    card("workers", fmt(stats.workers));
+// per-second sum of rate series; each series doubles its stride on its
+// own, so bins are summed onto the coarsest stride among them
+function rates(...list) {
+  const stride = Math.max(...list.map(d => d.stride_ns));
+  const out = [];
+  list.forEach(d => d.values.forEach((v, i) => {
+    const j = Math.floor(i * d.stride_ns / stride);
+    out[j] = (out[j] || 0) + v;
+  }));
+  return Array.from(out, v => (v || 0) / (stride / 1e9));
+}
 
-  const tenants = ts.tenants || {};
-  const tPeak = Math.max(1, ...Object.values(tenants).map(
-    b => b.submitted.values.reduce((a, v) => a + v, 0)));
-  const tenantRows = Object.entries(tenants).map(([name, b]) =>
-    barRow(name, b.submitted.values.reduce((a, v) => a + v, 0), tPeak, hue(name))
-  ).join("");
+function renderService(stats, traces, details) {
+  $("wall").textContent = `wall ${fmt(stats.wall_s, 1)}s`;
+  $("cards").innerHTML =
+    card("submitted", fmt(stats.counters.submitted)) +
+    card("cache hits", fmt(stats.counters.hits)) +
+    card("coalesced", fmt(stats.counters.coalesced)) +
+    card("completed", fmt(stats.counters.completed)) +
+    card("rejected", fmt(stats.counters.rejected)) +
+    card("failed", fmt(stats.counters.failed)) +
+    card("cache hit ratio", fmt(100 * stats.cache.hit_ratio, 1) + "%") +
+    card("queue depth", fmt(stats.gauges.queue_depth)) +
+    card("peak depth", fmt(stats.gauges.peak_queue_depth)) +
+    card("tenants", fmt(stats.gauges.tenants)) +
+    card("workers", fmt(stats.gauges.workers));
+
+  const tenants = Object.entries(stats.tenants);
+  const tPeak = Math.max(1, ...tenants.map(([, tenant]) => tenant.submitted));
+  const tenantRows = tenants.map(([name, tenant]) =>
+    barRow(name, tenant.submitted, tPeak, hue(name))).join("");
 
   const stream = (traces.traces || [])
     .filter(t => t.worker !== null && t.engine_ms > 0)
@@ -217,17 +225,19 @@ function renderService(ts, traces, details) {
   $("panels").innerHTML =
     panel("task stream (engine spans per service worker, wall ms)",
           taskStream(stream, "w"), true) +
-    panel("queue depth", area(val("queue_depth"), "#e8c268", H, "depth")) +
-    panel("busy workers (occupancy)", area(val("busy_workers"), "#69d58c", H, "busy")) +
-    panel("throughput: completed+hits", area(
-      rate("completed").map((v, i) => v + (rate("hits")[i] || 0)),
+    panel("queue depth", area(stats.series.queue_depth.values, "#e8c268", H, "depth")) +
+    panel("busy workers (occupancy)",
+          area(stats.series.busy_workers.values, "#69d58c", H, "busy")) +
+    panel("answered: hits + coalesced + completed", area(
+      rates(stats.series.hits, stats.series.coalesced, stats.series.completed),
       "#6fb3ff", H, "req", "/s")) +
     panel("rejected + failed", area(
-      rate("rejected").map((v, i) => v + (rate("failed")[i] || 0)),
-      "#e06c75", H, "req", "/s")) +
+      rates(stats.series.rejected, stats.series.failed), "#e06c75", H, "req", "/s")) +
     panel("per-tenant submitted", `<table>${tenantRows}</table>`) +
-    panel("hit latency (log buckets)", histBars(stats.hit_latency_ms, "#6fb3ff")) +
-    panel("miss latency (log buckets)", histBars(stats.miss_latency_ms, "#e8c268")) +
+    panel("hit latency (log buckets)",
+          histBars(stats.histograms.hit_latency_ms, "#6fb3ff")) +
+    panel("miss latency (log buckets)",
+          histBars(stats.histograms.miss_latency_ms, "#e8c268")) +
     panel("recent traces",
       `<table><tr><th>trace</th><th>job</th><th>tenant</th><th>outcome</th>`
       + `<th>wall ms</th><th>engine ms</th><th>att</th><th>wkr</th></tr>${rows}</table>`
@@ -301,12 +311,12 @@ function renderEngine(eng) {
 // ---- main loop -------------------------------------------------------
 async function poll() {
   try {
-    const [ts, traces] = await Promise.all([
-      (await fetch("/v1/timeseries")).json(),
+    const [stats, traces] = await Promise.all([
+      (await fetch("/v1/stats")).json(),
       (await fetch("/v1/traces")).json(),
     ]);
     $("err").textContent = "";
-    renderService(ts, traces, null);
+    renderService(stats, traces, null);
   } catch (e) {
     $("err").textContent = `poll failed: ${e}`;
   }
@@ -315,7 +325,7 @@ async function poll() {
 if (window.SNAPSHOT) {
   $("mode").textContent = "static snapshot";
   if (window.SNAPSHOT.engine) renderEngine(window.SNAPSHOT.engine);
-  else renderService(window.SNAPSHOT.timeseries || {},
+  else renderService(window.SNAPSHOT.stats,
                      window.SNAPSHOT.traces || {traces: []},
                      window.SNAPSHOT.details || {});
 } else {

@@ -3,9 +3,9 @@
 Two producers, one page:
 
 * :func:`service_snapshot` — point-in-time copy of a *running* service:
-  the ``/v1/timeseries`` document (stats embedded), the recent-trace
-  list, and pre-fetched detail documents for the newest traces, so the
-  emitted HTML is fully clickable with no server behind it.
+  the ``/v1/stats`` document, the recent-trace list, and pre-fetched
+  detail documents for the newest traces, so the emitted HTML is fully
+  clickable with no server behind it.
 * :func:`collector_snapshot` — offline rendering for non-service runs: a
   :class:`~repro.obs.Collector` from one traced cell becomes the
   task-stream / queue-depth / occupancy panels in *simulated* time,
@@ -30,7 +30,8 @@ __all__ = [
     "write_snapshot",
 ]
 
-SNAPSHOT_SCHEMA = "repro.dash/snapshot-v1"
+#: v2 embeds the ``/v1/stats`` document under ``stats``
+SNAPSHOT_SCHEMA = "repro.dash/snapshot-v2"
 
 
 def service_snapshot(client, *, detail_limit: int = 20) -> dict:
@@ -40,7 +41,7 @@ def service_snapshot(client, *, detail_limit: int = 20) -> dict:
     newest ``detail_limit`` traces are fetched in full so the snapshot's
     waterfall view works offline.
     """
-    timeseries = client.timeseries()
+    stats = client.stats()
     traces = client.traces()
     details: dict[str, dict] = {}
     for row in traces.get("traces", [])[:detail_limit]:
@@ -52,7 +53,7 @@ def service_snapshot(client, *, detail_limit: int = 20) -> dict:
                 continue
     return {
         "schema": SNAPSHOT_SCHEMA,
-        "timeseries": timeseries,
+        "stats": stats,
         "traces": traces,
         "details": details,
     }

@@ -49,7 +49,6 @@ from repro.obs.events import EpochMark, TraceEvent
 
 __all__ = [
     "TRACE_SCHEMA",
-    "TraceContext",
     "Span",
     "Trace",
     "Tracer",
@@ -66,22 +65,6 @@ now_ns = time.perf_counter_ns
 def _new_id() -> str:
     """16-hex random id (trace or span); uniqueness, not cryptography."""
     return os.urandom(8).hex()
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """The propagatable identity of a trace: its id + the parent span id.
-
-    Minted at :meth:`~repro.service.broker.Broker.submit`; everything
-    downstream (executor thread, engine Collector, Chrome export) references the
-    ``trace_id``, and child spans attach under ``span_id``.
-    """
-
-    trace_id: str
-    span_id: str
-
-    def child_of(self, span: "Span") -> "TraceContext":
-        return TraceContext(self.trace_id, span.span_id)
 
 
 @dataclass(slots=True)
@@ -233,11 +216,10 @@ class Trace:
 class Tracer:
     """Mints traces and retains the last ``capacity`` finished ones."""
 
-    def __init__(self, *, capacity: int = 256, capture_events: bool = False) -> None:
+    def __init__(self, *, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.capture_events = capture_events
         self.t0_ns = now_ns()
         self._done: OrderedDict[str, Trace] = OrderedDict()
         self._lock = threading.Lock()

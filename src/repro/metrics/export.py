@@ -1,8 +1,16 @@
 """Metric exporters: Prometheus text, JSONL, CSV, sparkline dashboard.
 
-All exporters operate on the schema-stable ``MetricsSummary`` document
-(:func:`repro.metrics.summary.summarize`), not on a live sink, so a
-summary written yesterday exports identically today.  Output is
+One telemetry model, two documents.  A run's ``MetricsSummary``
+(:func:`repro.metrics.summary.summarize`) and the service broker's
+``repro.service/stats-v2`` document (:meth:`repro.service.broker.Broker.stats`)
+are both laid out as ``counters``, ``histograms`` (log-histogram
+snapshots) and ``series`` (stride-series snapshots) plus one labelled
+block — a summary's ``devices``, the broker's ``tenants`` — and
+:func:`to_prometheus` / :func:`to_jsonl` render either through one
+number formatter, one label escaper and one histogram renderer.
+
+Every exporter operates on the document, not on a live sink or broker,
+so a document written yesterday exports identically today.  Output is
 deterministic — fixed ordering, fixed separators — making exported files
 diffable artifacts like the Chrome traces.
 """
@@ -12,22 +20,23 @@ from __future__ import annotations
 import json
 import math
 
-from repro.metrics.sink import COUNTER_NAMES, HISTOGRAM_NAMES, SERIES_NAMES
+from repro.metrics.hist import LogHistogram
+from repro.metrics.sink import COUNTER_NAMES, SERIES_NAMES
 
-__all__ = ["to_prometheus", "to_jsonl", "series_csv", "format_dashboard"]
+__all__ = ["STATS_SCHEMA", "to_prometheus", "to_jsonl", "series_csv", "format_dashboard"]
 
-#: counters exported as Prometheus gauges (high-water marks, not totals)
+#: schema of the broker's stats document (the other document rendered here)
+STATS_SCHEMA = "repro.service/stats-v2"
+
+#: summary counters exported as Prometheus gauges (high-water marks, not totals)
 _GAUGE_COUNTERS = {"max_queue_depth", "max_in_flight"}
+#: entries of a labelled block exported as gauges; every other entry is a total
+_BLOCK_GAUGES = {"max_depth", "queue_depth"}
+#: result-cache entries that are totals; the rest of the cache block are gauges
+_CACHE_COUNTERS = {"hits", "misses", "evictions", "poisons_detected"}
+_IDENT = ("app", "dataset", "config", "size")
 
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-
-
-def _labels(doc: dict) -> str:
-    pairs = [
-        (key, doc.get(key, "")) for key in ("app", "dataset", "config", "size")
-    ]
-    inner = ",".join(f'{k}="{v}"' for k, v in pairs if v)
-    return "{" + inner + "}" if inner else ""
 
 
 def _fmt(value: float) -> str:
@@ -36,90 +45,139 @@ def _fmt(value: float) -> str:
     return str(int(value))
 
 
-def to_prometheus(doc: dict, *, prefix: str = "repro") -> str:
-    """Render a summary in the Prometheus text exposition format.
+def _escape(value: str) -> str:
+    """Prometheus label-value escaping: backslash, quote, newline."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
-    Counters become ``<prefix>_<name>_total``, high-water marks become
-    gauges, histograms use the native cumulative-``le`` representation
-    (bucket upper bounds from the log layout), and each series' peak is
-    exported as a gauge — Prometheus has no series type; the full curves
-    live in the JSONL/CSV exports.
+
+def _labels(pairs: list[tuple[str, str]]) -> str:
+    inner = ",".join(f'{k}="{_escape(str(v))}"' for k, v in pairs)
+    return "{" + inner + "}" if inner else ""
+
+
+def _histogram_lines(name: str, doc: dict, pairs: list) -> list[str]:
+    """Native cumulative-``le`` histogram plus p50/p90/p99 gauges."""
+    hist = LogHistogram.from_dict(doc)
+    lines = [f"# TYPE {name} histogram"]
+    cumulative = hist.zero
+    for idx, count in hist.items():
+        cumulative += count
+        le = repr(hist.bucket_bounds(idx)[1])
+        lines.append(f"{name}_bucket{_labels([*pairs, ('le', le)])} {cumulative}")
+    lines.append(f"{name}_bucket{_labels([*pairs, ('le', '+Inf')])} {hist.count}")
+    lines.append(f"{name}_sum{_labels(pairs)} {_fmt(doc['sum'])}")
+    lines.append(f"{name}_count{_labels(pairs)} {hist.count}")
+    for q in ("p50", "p90", "p99"):
+        lines.append(f"# TYPE {name}_{q} gauge")
+        lines.append(f"{name}_{q}{_labels(pairs)} {_fmt(doc[q])}")
+    return lines
+
+
+def _scalar(name: str, value: float, pairs: list, *, gauge: bool) -> tuple:
+    """One single-sample family: ``(name, type, [(labels, value)])``."""
+    if gauge:
+        return name, "gauge", [(pairs, value)]
+    return f"{name}_total", "counter", [(pairs, value)]
+
+
+def _block_families(prefix: str, label: str, block: dict, pairs: list) -> list[tuple]:
+    """One family per labelled-block entry, one sample per label value."""
+    names = sorted({name for entries in block.values() for name in entries})
+    families = []
+    for name in names:
+        gauge = name in _BLOCK_GAUGES
+        families.append((
+            f"{prefix}_{label}_{name}" + ("" if gauge else "_total"),
+            "gauge" if gauge else "counter",
+            [([*pairs, (label, key)], entries[name])
+             for key, entries in block.items() if name in entries],
+        ))
+    return families
+
+
+def _families(doc: dict, prefix: str | None) -> tuple[str, list, list[tuple]]:
+    """``(prefix, identity labels, families)`` of either document."""
+    if doc.get("schema") == STATS_SCHEMA:
+        prefix = prefix or "repro_service"
+        families = [
+            *(_scalar(f"{prefix}_{k}", v, [], gauge=False) for k, v in doc["counters"].items()),
+            *(_scalar(f"{prefix}_{k}", v, [], gauge=True) for k, v in doc["gauges"].items()),
+            *(_scalar(f"{prefix}_cache_{k}", v, [], gauge=k not in _CACHE_COUNTERS)
+              for k, v in doc["cache"].items()),
+            *(_scalar(f"{prefix}_fault_{k}", v, [], gauge=False)
+              for k, v in doc["faults"].items()),
+            *_block_families(prefix, "tenant", doc["tenants"], []),
+        ]
+        return prefix, [], families
+    prefix = prefix or "repro"
+    pairs = [(key, doc[key]) for key in _IDENT if doc.get(key)]
+    families = [
+        _scalar(f"{prefix}_elapsed_ns", doc["elapsed_ns"], pairs, gauge=True),
+        *(_scalar(f"{prefix}_{name}", doc["counters"][name], pairs,
+                  gauge=name in _GAUGE_COUNTERS) for name in COUNTER_NAMES),
+        # Prometheus has no series type: export each series' peak, the
+        # full curves live in the JSONL/CSV exports
+        *(_scalar(f"{prefix}_{name}_peak", doc["series"][name]["peak"], pairs, gauge=True)
+          for name in SERIES_NAMES),
+        *_block_families(prefix, "device", doc.get("devices") or {}, pairs),
+    ]
+    return prefix, pairs, families
+
+
+def to_prometheus(doc: dict, *, prefix: str | None = None) -> str:
+    """Render a run summary or a broker stats document as Prometheus text.
+
+    Counters become ``<prefix>_<name>_total``, gauges and high-water
+    marks stay bare, histograms use the native cumulative-``le``
+    representation (bucket upper bounds from the log layout) with
+    quantile gauges, and each labelled-block entry becomes one family
+    with a ``device``/``tenant`` label.  Every family is declared by
+    exactly one ``# TYPE`` line, above all of its samples.  The prefix
+    defaults to ``repro`` for a summary, ``repro_service`` for stats.
     """
-    labels = _labels(doc)
+    prefix, pairs, families = _families(doc, prefix)
     lines: list[str] = []
-
-    def metric(name: str, mtype: str, value: float, extra_label: str = "") -> None:
+    for name, mtype, samples in families:
         lines.append(f"# TYPE {name} {mtype}")
-        lines.append(f"{name}{extra_label or labels} {_fmt(value)}")
-
-    metric(f"{prefix}_elapsed_ns", "gauge", doc["elapsed_ns"])
-    for cname in COUNTER_NAMES:
-        value = doc["counters"][cname]
-        if cname in _GAUGE_COUNTERS:
-            metric(f"{prefix}_{cname}", "gauge", value)
-        else:
-            metric(f"{prefix}_{cname}_total", "counter", value)
-    for hname in HISTOGRAM_NAMES:
-        h = doc["histograms"][hname]
-        base = f"{prefix}_{hname}"
-        lines.append(f"# TYPE {base} histogram")
-        subbuckets = h["subbuckets"]
-        min_value = h["min_value"]
-        cumulative = h["zero"]
-        for idx in sorted(int(k) for k in h["buckets"]):
-            cumulative += h["buckets"][str(idx)]
-            octave, sub = divmod(idx, subbuckets)
-            le = min_value * 2.0**octave * (1.0 + (sub + 1) / subbuckets)
-            le_labels = labels[:-1] + f',le="{le!r}"}}' if labels else f'{{le="{le!r}"}}'
-            lines.append(f"{base}_bucket{le_labels} {cumulative}")
-        le_labels = labels[:-1] + ',le="+Inf"}' if labels else '{le="+Inf"}'
-        lines.append(f"{base}_bucket{le_labels} {h['count']}")
-        lines.append(f"{base}_sum{labels} {_fmt(h['sum'])}")
-        lines.append(f"{base}_count{labels} {h['count']}")
-    for sname in SERIES_NAMES:
-        metric(f"{prefix}_{sname}_peak", "gauge", doc["series"][sname]["peak"])
-    for dev, block in sorted(
-        (doc.get("devices") or {}).items(), key=lambda kv: int(kv[0])
-    ):
-        for cname in sorted(block):
-            dev_labels = (
-                labels[:-1] + f',device="{dev}"}}' if labels else f'{{device="{dev}"}}'
-            )
-            mname = f"{prefix}_device_{cname}"
-            suffix = "" if cname == "max_depth" else "_total"
-            metric(
-                f"{mname}{suffix}",
-                "gauge" if cname == "max_depth" else "counter",
-                block[cname],
-                dev_labels,
-            )
+        lines.extend(f"{name}{_labels(p)} {_fmt(value)}" for p, value in samples)
+    for hname, hdoc in doc["histograms"].items():
+        lines.extend(_histogram_lines(f"{prefix}_{hname}", hdoc, pairs))
     return "\n".join(lines) + "\n"
 
 
 def to_jsonl(doc: dict) -> str:
-    """One JSON object per line: run header, counters, histograms, series.
+    """One JSON object per line: header, counters, histograms, series, block.
 
     Line-oriented so downstream tooling (``jq``, log shippers) can stream
-    it; every line carries ``kind`` and the run identity.
+    it; every line carries ``kind`` (and, for a summary, the run identity).
     """
-    ident = {key: doc.get(key, "") for key in ("app", "dataset", "config", "size")}
-    records: list[dict] = [
-        {"kind": "run", **ident, "elapsed_ns": doc["elapsed_ns"],
-         "events_seen": doc["events_seen"], "schema": doc["schema"]},
-        {"kind": "counters", **ident, **doc["counters"]},
-    ]
-    for hname in HISTOGRAM_NAMES:
-        records.append({"kind": "histogram", "name": hname, **ident,
-                        **doc["histograms"][hname]})
-    for sname in SERIES_NAMES:
-        payload = dict(doc["series"][sname])
+    if doc.get("schema") == STATS_SCHEMA:
+        ident: dict = {}
+        records = [
+            {"kind": "service", "schema": doc["schema"], "wall_s": doc["wall_s"],
+             "tracing": doc["tracing"], **doc["gauges"]},
+            {"kind": "counters", **doc["counters"]},
+            {"kind": "cache", **doc["cache"]},
+            {"kind": "faults", **doc["faults"]},
+        ]
+        label, block = "tenant", doc["tenants"]
+    else:
+        ident = {key: doc.get(key, "") for key in _IDENT}
+        records = [
+            {"kind": "run", **ident, "elapsed_ns": doc["elapsed_ns"],
+             "events_seen": doc["events_seen"], "schema": doc["schema"]},
+            {"kind": "counters", **ident, **doc["counters"]},
+        ]
+        label, block = "device", doc.get("devices") or {}
+    for hname, hdoc in doc["histograms"].items():
+        records.append({"kind": "histogram", "name": hname, **ident, **hdoc})
+    for sname, sdoc in doc["series"].items():
+        payload = dict(sdoc)
         # the series' own "kind" (rate/gauge) must not clobber the record kind
         payload["series_kind"] = payload.pop("kind")
         records.append({"kind": "series", "name": sname, **ident, **payload})
-    for dev, block in sorted(
-        (doc.get("devices") or {}).items(), key=lambda kv: int(kv[0])
-    ):
-        records.append({"kind": "device", "device": int(dev), **ident, **block})
+    for key, entries in block.items():
+        records.append({"kind": label, label: key, **ident, **entries})
     return "\n".join(
         json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in records
     ) + "\n"

@@ -108,10 +108,9 @@ class StrideSeries:
         """Retained bin count (the memory bound, not the observed span)."""
         return len(self.bins)
 
-    @property
-    def n_observed(self) -> int:
-        """Number of grid bins up to the last observation."""
-        return self.hi + 1
+    def total(self) -> float:
+        """Rate series: everything added so far (folding keeps the sum)."""
+        return float(sum(self.bins[: self.hi + 1]))
 
     def values(self) -> list[float]:
         """The observed prefix of the grid, gauges carried forward.

@@ -19,7 +19,6 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.metrics.hist import LogHistogram
 from repro.metrics.sink import (
     COUNTER_NAMES,
     DEVICE_COUNTER_NAMES,
@@ -164,11 +163,6 @@ def validate_summary(doc: Any) -> list[str]:
     if not problems and doc["elapsed_ns"] < 0:
         problems.append("elapsed_ns must be non-negative")
     return problems
-
-
-def histogram_from_summary(doc: dict, name: str) -> LogHistogram:
-    """Rehydrate one histogram from a summary document."""
-    return LogHistogram.from_dict(doc["histograms"][name])
 
 
 def write_summary(doc: dict, path: str | Path) -> None:

@@ -19,9 +19,10 @@ long-running multi-tenant facility:
   :class:`~repro.service.faults.FaultInjector` proving the recovery
   paths;
 * :mod:`repro.service.bench` — the committed ``BENCH_service.json``
-  load scenario;
-* :mod:`repro.service.telemetry` — Prometheus/JSONL exporters for the
-  broker's operational stats.
+  load scenario.
+
+The broker's stats document (``repro.service/stats-v2``) renders through
+the same :mod:`repro.metrics.export` exporters as a run's summary.
 
 See ``docs/service.md`` for the API schema and cache-key anatomy.
 """
@@ -32,7 +33,6 @@ from repro.service.broker import (
     BrokerConfig,
     JobFailed,
     QueueFull,
-    ServiceStats,
 )
 from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
 from repro.service.client import ServiceClient, ServiceError, ServiceUnavailable
@@ -64,7 +64,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceServer",
-    "ServiceStats",
     "ServiceUnavailable",
     "WorkerKilled",
     "execute_spec",

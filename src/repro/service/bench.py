@@ -126,10 +126,10 @@ async def _run(
         "throughput_rps": clients / warm_wall_s,
         "warm_speedup": cold_mean / warm_mean if warm_mean else 0.0,
         "digest_match_ratio": matches / responses,
-        "hit_ratio": stats.cache.hit_ratio,
-        "coalesced": stats.coalesced,
-        "rejected": stats.rejected,
-        "peak_queue_depth": stats.peak_queue_depth,
+        "hit_ratio": stats["cache"]["hit_ratio"],
+        "coalesced": stats["counters"]["coalesced"],
+        "rejected": stats["counters"]["rejected"],
+        "peak_queue_depth": stats["gauges"]["peak_queue_depth"],
     }
 
 

@@ -23,6 +23,15 @@ Robustness contract (exercised by ``tests/test_service_faults.py``):
   an undisturbed one;
 * :meth:`drain` stops intake, finishes every accepted job, and only
   then shuts the workers down — accepted work is never dropped.
+
+Accounting: every submitted job settles into exactly one outcome —
+``hits`` (answered from the cache), ``coalesced`` (joined an identical
+in-flight job that succeeded), ``completed`` (a miss answered from its
+own run), ``rejected`` (tenant queue full) or ``failed`` (its run, or
+the run it joined, failed).  Each event is recorded once, into a
+wall-clock :class:`~repro.metrics.series.StrideSeries` for the whole
+broker and one for its tenant, and every counter in :meth:`Broker.stats`
+is read from its series, so a counter and its series cannot disagree.
 """
 
 from __future__ import annotations
@@ -31,15 +40,16 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.dash.timeseries import ServiceSeries
 from repro.dash.trace import EpochWallSink, Trace, Tracer
+from repro.metrics.export import STATS_SCHEMA
 from repro.metrics.hist import LogHistogram
+from repro.metrics.series import StrideSeries
 from repro.obs.collector import Collector
 from repro.obs.events import MultiSink
 from repro.obs.export import to_chrome_trace
-from repro.service.cache import DEFAULT_CACHE_BYTES, CacheStats, ResultCache
+from repro.service.cache import DEFAULT_CACHE_BYTES, ResultCache
 from repro.service.faults import FaultInjector, WorkerKilled
 from repro.service.jobs import (
     JobResult,
@@ -57,8 +67,34 @@ __all__ = [
     "BrokerClosed",
     "QueueFull",
     "JobFailed",
-    "ServiceStats",
+    "COUNTERS",
+    "OUTCOMES",
+    "MAX_TENANTS",
+    "OVERFLOW_TENANT",
 ]
+
+#: the five outcomes; every submitted job settles into exactly one
+OUTCOMES = ("hits", "coalesced", "completed", "rejected", "failed")
+#: every counted event: submissions, their outcomes, and per-job
+#: execution events — ``executed`` counts successful simulations
+COUNTERS = ("submitted", *OUTCOMES, "executed", "retries", "timeouts")
+#: tenants that get their own counters; later tenants share one bucket,
+#: so a tenant-id storm cannot grow the stats document without bound
+MAX_TENANTS = 16
+OVERFLOW_TENANT = "…other"
+#: starting bin width of the wall-clock series: 250 ms (doubles as it fills)
+_STRIDE_NS = 250e6
+
+
+def _rate() -> StrideSeries:
+    return StrideSeries("rate", stride_ns=_STRIDE_NS)
+
+
+def _totals(series: dict[str, StrideSeries]) -> dict[str, int]:
+    """Every counter, read from its rate series (absent series count 0)."""
+    return {
+        name: int(series[name].total()) if name in series else 0 for name in COUNTERS
+    }
 
 
 class BrokerClosed(RuntimeError):
@@ -110,68 +146,6 @@ class BrokerConfig:
             raise ValueError("trace_capacity must be >= 1")
 
 
-@dataclass(frozen=True)
-class ServiceStats:
-    """Point-in-time snapshot of broker + cache health (JSON-ready)."""
-
-    submitted: int
-    completed: int
-    failed: int
-    rejected: int
-    coalesced: int
-    retries: int
-    timeouts: int
-    queue_depth: int
-    peak_queue_depth: int
-    tenants: int
-    workers: int
-    draining: bool
-    cache: CacheStats
-    hit_latency_ms: dict
-    miss_latency_ms: dict
-    kills_injected: int = 0
-    delays_injected: int = 0
-    poisons_injected: int = 0
-    #: {tenant: {submitted, completed, rejected, queue_depth}} — the
-    #: per-tenant fairness/backpressure view (additive to stats-v1)
-    per_tenant: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "repro.service/stats-v1",
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "coalesced": self.coalesced,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "queue_depth": self.queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "tenants": self.tenants,
-            "workers": self.workers,
-            "draining": self.draining,
-            "cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "evictions": self.cache.evictions,
-                "poisons_detected": self.cache.poisons_detected,
-                "entries": self.cache.entries,
-                "bytes": self.cache.bytes,
-                "max_bytes": self.cache.max_bytes,
-                "hit_ratio": self.cache.hit_ratio,
-            },
-            "hit_latency_ms": self.hit_latency_ms,
-            "miss_latency_ms": self.miss_latency_ms,
-            "faults": {
-                "kills_injected": self.kills_injected,
-                "delays_injected": self.delays_injected,
-                "poisons_injected": self.poisons_injected,
-            },
-            "per_tenant": self.per_tenant,
-        }
-
-
 @dataclass
 class _Job:
     """One queued unit: the spec, its key, and the future its waiters share."""
@@ -202,31 +176,24 @@ class Broker:
         self._workers: list[asyncio.Task] = []
         self._draining = False
         self._started = False
-        # counters (single-threaded: only touched on the event loop)
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
-        self._coalesced = 0
-        self._retries = 0
-        self._timeouts = 0
+        # gauges (single-threaded: only touched on the event loop)
         self._peak_depth = 0
         self._busy = 0
-        #: per-tenant counters for the {tenant="..."} telemetry labels
-        self._tenant_counts: dict[str, dict[str, int]] = {}
         #: service latency in ms; 1 µs resolution floor
         self.hit_latency = LogHistogram(min_value=1e-3)
         self.miss_latency = LogHistogram(min_value=1e-3)
-        #: wall-clock dashboard series (always on; a few list ops per job)
-        self.series = ServiceSeries()
+        #: wall-clock series, the only record of each counted event: one
+        #: rate series per counter plus the queue-depth and busy-worker
+        #: gauges, all on the broker's clock from ``_t0_ns``
+        self._t0_ns = time.perf_counter_ns()
+        self.series: dict[str, StrideSeries] = {name: _rate() for name in COUNTERS}
+        for gauge in ("queue_depth", "busy_workers"):
+            self.series[gauge] = StrideSeries("gauge", stride_ns=_STRIDE_NS)
+        #: per-tenant rate series, created on a tenant's first event of a kind
+        self._tenant_series: dict[str, dict[str, StrideSeries]] = {}
         #: span tracer, or None when the config disables tracing
         self.tracer: Tracer | None = (
-            Tracer(
-                capacity=self.config.trace_capacity,
-                capture_events=self.config.trace_events,
-            )
-            if self.config.tracing
-            else None
+            Tracer(capacity=self.config.trace_capacity) if self.config.tracing else None
         )
 
     # ------------------------------------------------------------------
@@ -285,8 +252,7 @@ class Broker:
         if not isinstance(spec, RunSpec):
             spec = spec_from_dict(spec)
         validate_spec(spec)
-        self._submitted += 1
-        self._bump(tenant, "submitted")
+        self._record("submitted", tenant)
         t0_ns = time.perf_counter_ns()
         t0 = t0_ns / 1e9  # perf_counter() and perf_counter_ns() share a clock
         trace: Trace | None = None
@@ -298,8 +264,6 @@ class Broker:
         if trace is not None:
             trace.end_span(key_span)
             trace.key = key[:16]
-        self.series.mark("submitted")
-        self.series.mark_tenant(tenant, "submitted")
 
         lookup = trace.start_span("cache.lookup") if trace is not None else None
         cached = self.cache.get(key)
@@ -308,9 +272,7 @@ class Broker:
         if cached is not None:
             wall_ms = (time.perf_counter() - t0) * 1e3
             self.hit_latency.record(wall_ms)
-            self.series.mark("hits")
-            self.series.mark_tenant(tenant, "completed")
-            self._bump(tenant, "completed")
+            self._record("hits", tenant)
             return make_job_result(
                 spec, cached, cached=True, attempts=0, wall_ms=wall_ms, tenant=tenant,
                 trace_id=self._finish_trace(trace, "hit"),
@@ -319,17 +281,19 @@ class Broker:
         inflight = self._inflight.get(key)
         if inflight is not None:
             # single flight: identical concurrent jobs share one execution
-            self._coalesced += 1
-            self.series.mark("coalesced")
             leader = self._inflight_jobs.get(key)
             wait_span = trace.start_span("coalesce.wait") if trace is not None else None
-            result, attempts = await asyncio.shield(inflight)
+            try:
+                result, attempts = await asyncio.shield(inflight)
+            except BaseException:
+                self._record("failed", tenant)
+                self._finish_trace(trace, "failed")
+                raise
             if wait_span is not None:
                 trace.end_span(wait_span)
             wall_ms = (time.perf_counter() - t0) * 1e3
             self.hit_latency.record(wall_ms)
-            self.series.mark_tenant(tenant, "completed")
-            self._bump(tenant, "completed")
+            self._record("coalesced", tenant)
             if trace is not None and leader is not None and leader.trace is not None:
                 # the share: this trace references the leader's engine span
                 engine = leader.trace.find_span("engine")
@@ -345,9 +309,7 @@ class Broker:
         if tenant not in self._rr:
             self._rr.append(tenant)
         if len(queue) >= self.config.tenant_queue_limit:
-            self._rejected += 1
-            self._bump(tenant, "rejected")
-            self.series.mark("rejected")
+            self._record("rejected", tenant)
             self._finish_trace(trace, "rejected", error="tenant queue full")
             raise QueueFull(
                 f"tenant {tenant!r} queue is full "
@@ -368,13 +330,14 @@ class Broker:
         depth = sum(len(q) for q in self._queues.values())
         if depth > self._peak_depth:
             self._peak_depth = depth
-        self.series.gauge("queue_depth", depth)
+        self._gauge("queue_depth", depth)
         assert self._cond is not None
         async with self._cond:
             self._cond.notify()
         try:
             result, attempts = await asyncio.shield(job.future)
         except BaseException:
+            self._record("failed", tenant)
             self._finish_trace(trace, "failed")
             raise
         finally:
@@ -384,9 +347,7 @@ class Broker:
                 del self._inflight_jobs[key]
         wall_ms = (time.perf_counter() - t0) * 1e3
         self.miss_latency.record(wall_ms)
-        self.series.mark("completed")
-        self.series.mark_tenant(tenant, "completed")
-        self._bump(tenant, "completed")
+        self._record("completed", tenant)
         return make_job_result(
             spec, result, cached=False, attempts=attempts, wall_ms=wall_ms, tenant=tenant,
             trace_id=self._finish_trace(trace, "miss", attempts=attempts),
@@ -395,13 +356,26 @@ class Broker:
     # ------------------------------------------------------------------
     # Tracing / accounting helpers
     # ------------------------------------------------------------------
-    def _bump(self, tenant: str, name: str) -> None:
-        counts = self._tenant_counts.get(tenant)
-        if counts is None:
-            counts = self._tenant_counts[tenant] = {
-                "submitted": 0, "completed": 0, "rejected": 0
-            }
-        counts[name] += 1
+    def _now_ns(self) -> float:
+        """Wall time on the series' clock."""
+        return float(time.perf_counter_ns() - self._t0_ns)
+
+    def _record(self, name: str, tenant: str) -> None:
+        """Count one ``name`` event at wall-now, for the broker and ``tenant``."""
+        t_ns = self._now_ns()
+        self.series[name].add(t_ns)
+        block = self._tenant_series.get(tenant)
+        if block is None:
+            if len(self._tenant_series) >= MAX_TENANTS:
+                tenant = OVERFLOW_TENANT
+            block = self._tenant_series.setdefault(tenant, {})
+        series = block.get(name)
+        if series is None:
+            series = block[name] = _rate()
+        series.add(t_ns)
+
+    def _gauge(self, name: str, value: float) -> None:
+        self.series[name].observe(self._now_ns(), value)
 
     def _finish_trace(self, trace: Trace | None, outcome: str, **attrs) -> str | None:
         """Close and retain ``trace``; returns its id (None when untraced)."""
@@ -486,13 +460,13 @@ class Broker:
                 attrs={"worker": worker},
             )
         self._busy += 1
-        self.series.gauge("busy_workers", self._busy)
-        self.series.gauge("queue_depth", self.queue_depth())
+        self._gauge("busy_workers", self._busy)
+        self._gauge("queue_depth", self.queue_depth())
         try:
             await self._run_attempts(job, worker, loop, trace)
         finally:
             self._busy -= 1
-            self.series.gauge("busy_workers", self._busy)
+            self._gauge("busy_workers", self._busy)
 
     async def _run_attempts(self, job: _Job, worker: int, loop, trace: Trace | None) -> None:
         last_error: BaseException | None = None
@@ -525,7 +499,7 @@ class Broker:
                 if attempt < self.config.max_attempts:
                     # retries counts re-executions actually scheduled, so a
                     # kill on the final attempt is a failure, not a retry
-                    self._retries += 1
+                    self._record("retries", job.tenant)
                     await asyncio.sleep(self.config.retry_backoff_s * attempt)
                 continue
             except asyncio.TimeoutError as exc:
@@ -535,17 +509,15 @@ class Broker:
                     f"attempt {attempt} exceeded {self.config.job_timeout_s}s"
                 )
                 last_error.__cause__ = exc
-                self._timeouts += 1
+                self._record("timeouts", job.tenant)
                 if trace is not None:
                     trace.end_span(attempt_span, status="error", error=str(last_error))
                 if attempt < self.config.max_attempts:
-                    self._retries += 1
+                    self._record("retries", job.tenant)
                     await asyncio.sleep(self.config.retry_backoff_s * attempt)
                 continue
             except Exception as exc:
                 # deterministic failure: retrying would fail identically
-                self._failed += 1
-                self.series.mark("failed")
                 if trace is not None:
                     trace.end_span(
                         attempt_span, status="error",
@@ -560,12 +532,10 @@ class Broker:
                 trace.end_span(attempt_span)
             self.cache.put(job.key, result)
             self.faults.maybe_poison(self.cache)
-            self._completed += 1
+            self._record("executed", job.tenant)
             if not job.future.done():
                 job.future.set_result((result, attempt))
             return
-        self._failed += 1
-        self.series.mark("failed")
         if not job.future.done():
             job.future.set_exception(
                 JobFailed(
@@ -579,13 +549,6 @@ class Broker:
     # ------------------------------------------------------------------
     def queue_depth(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def timeseries(self) -> dict:
-        """The ``/v1/timeseries`` document: dashboard series + stats."""
-        doc = self.series.to_dict()
-        doc["tracing"] = self.tracer is not None
-        doc["stats"] = self.stats().to_dict()
-        return doc
 
     def traces_doc(self, *, limit: int = 100) -> dict:
         """The ``/v1/traces`` document: recent trace summaries."""
@@ -602,31 +565,50 @@ class Broker:
         trace = self.tracer.get(trace_id)
         return trace.to_dict() if trace is not None else None
 
-    def stats(self) -> ServiceStats:
-        return ServiceStats(
-            submitted=self._submitted,
-            completed=self._completed,
-            failed=self._failed,
-            rejected=self._rejected,
-            coalesced=self._coalesced,
-            retries=self._retries,
-            timeouts=self._timeouts,
-            queue_depth=self.queue_depth(),
-            peak_queue_depth=self._peak_depth,
-            tenants=len(self._queues),
-            workers=self.config.workers,
-            draining=self._draining,
-            cache=self.cache.stats(),
-            hit_latency_ms=self.hit_latency.to_dict(),
-            miss_latency_ms=self.miss_latency.to_dict(),
-            kills_injected=self.faults.kills_injected,
-            delays_injected=self.faults.delays_injected,
-            poisons_injected=self.faults.poisons_injected,
-            per_tenant={
-                tenant: {
-                    **counts,
-                    "queue_depth": len(self._queues.get(tenant, ())),
-                }
-                for tenant, counts in sorted(self._tenant_counts.items())
+    def stats(self) -> dict:
+        """The one stats document, ``repro.service/stats-v2`` (``/v1/stats``).
+
+        Laid out like a run's ``MetricsSummary`` — ``counters``,
+        ``histograms``, ``series`` and a labelled ``tenants`` block in
+        place of ``devices`` — plus ``gauges`` and the result cache's and
+        fault injector's own counts, so
+        :func:`~repro.metrics.export.to_prometheus` renders it.  Every
+        counter is the total of its rate series; once nothing is in
+        flight, ``submitted`` equals the sum of the five outcomes,
+        globally and per tenant.
+        """
+        queued: dict[str, int] = {}
+        for tenant, queue in self._queues.items():
+            if tenant not in self._tenant_series:
+                tenant = OVERFLOW_TENANT
+            queued[tenant] = queued.get(tenant, 0) + len(queue)
+        cache = self.cache.stats()
+        return {
+            "schema": STATS_SCHEMA,
+            "wall_s": self._now_ns() / 1e9,
+            "tracing": self.tracer is not None,
+            "counters": _totals(self.series),
+            "gauges": {
+                "queue_depth": self.queue_depth(),
+                "peak_queue_depth": self._peak_depth,
+                "busy_workers": self._busy,
+                "tenants": len(self._queues),
+                "workers": self.config.workers,
+                "draining": int(self._draining),
             },
-        )
+            "histograms": {
+                "hit_latency_ms": self.hit_latency.to_dict(),
+                "miss_latency_ms": self.miss_latency.to_dict(),
+            },
+            "series": {name: s.to_dict() for name, s in self.series.items()},
+            "cache": {**asdict(cache), "hit_ratio": cache.hit_ratio},
+            "faults": {
+                "kills_injected": self.faults.kills_injected,
+                "delays_injected": self.faults.delays_injected,
+                "poisons_injected": self.faults.poisons_injected,
+            },
+            "tenants": {
+                tenant: {**_totals(block), "queue_depth": queued.get(tenant, 0)}
+                for tenant, block in sorted(self._tenant_series.items())
+            },
+        }

@@ -71,16 +71,12 @@ class ServiceClient:
         return self._request("POST", "/v1/jobs", {"job": job, "tenant": tenant})
 
     def stats(self) -> dict:
-        """The ``repro.service/stats-v1`` document."""
+        """The ``repro.service/stats-v2`` document."""
         return self._request("GET", "/v1/stats")
 
     def metrics_text(self) -> str:
         """Prometheus text exposition of the broker's stats."""
         return self._request("GET", "/metrics")
-
-    def timeseries(self) -> dict:
-        """The ``repro.dash/timeseries-v1`` document (dashboard strips)."""
-        return self._request("GET", "/v1/timeseries")
 
     def traces(self) -> dict:
         """Recent trace summaries, newest first."""

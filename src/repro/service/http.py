@@ -8,15 +8,15 @@ a dashboard page that re-fetches, not long-lived browser sessions):
   the :class:`~repro.service.jobs.JobResult` document, or a JSON error
   with the status the broker's exception maps to: 400 (bad spec), 429
   (tenant queue full), 503 (draining), 500 (retries exhausted).
-* ``GET /v1/stats`` — the ``repro.service/stats-v1`` document.
-* ``GET /v1/timeseries`` — the ``repro.dash/timeseries-v1`` document
-  (binned wall-clock series feeding the dashboard strips).
+* ``GET /v1/stats`` — the ``repro.service/stats-v2`` document: counters,
+  gauges, latency histograms, the wall-clock series feeding the
+  dashboard strips, and per-tenant counters.
 * ``GET /v1/traces`` — recent trace summaries, newest first.
 * ``GET /v1/traces/<id>`` — one full trace; ``?format=chrome`` renders
   it as a merged Chrome trace-event document instead.
 * ``GET /dash`` — the live dashboard page (inline HTML/JS, zero deps).
-* ``GET /metrics`` — Prometheus text exposition
-  (:func:`~repro.service.telemetry.stats_to_prometheus`).
+* ``GET /metrics`` — Prometheus text exposition of the stats document
+  (:func:`~repro.metrics.export.to_prometheus`, the run summary's exporter).
 * ``GET /healthz`` — ``{"ok": true}`` while accepting jobs.
 
 Error responses are uniformly shaped: a JSON object with ``error``
@@ -37,9 +37,9 @@ import json
 
 from repro.dash.page import render_page
 from repro.dash.trace import trace_to_chrome
+from repro.metrics.export import to_prometheus
 from repro.service.broker import Broker, BrokerClosed, JobFailed, QueueFull
 from repro.service.jobs import JobSpecError
-from repro.service.telemetry import stats_to_prometheus
 
 __all__ = ["ServiceServer", "serve"]
 
@@ -58,7 +58,6 @@ _STATUS_TEXT = {
 _ROUTE_METHODS = {
     "/healthz": ("GET",),
     "/v1/stats": ("GET",),
-    "/v1/timeseries": ("GET",),
     "/v1/traces": ("GET",),
     "/v1/traces/": ("GET",),
     "/dash": ("GET",),
@@ -176,9 +175,7 @@ class ServiceServer:
         if path == "/healthz":
             return 200, {"ok": not self.broker._draining}
         if path == "/v1/stats":
-            return 200, self.broker.stats().to_dict()
-        if path == "/v1/timeseries":
-            return 200, self.broker.timeseries()
+            return 200, self.broker.stats()
         if path == "/v1/traces":
             return 200, self.broker.traces_doc()
         if path.startswith("/v1/traces/"):
@@ -186,7 +183,7 @@ class ServiceServer:
         if path == "/dash":
             return 200, render_page(None), _HTML
         if path == "/metrics":
-            return 200, stats_to_prometheus(self.broker.stats().to_dict()).encode()
+            return 200, to_prometheus(self.broker.stats()).encode()
         return await self._submit(body)  # POST /v1/jobs — the only route left
 
     def _trace(self, trace_id: str, query: str):

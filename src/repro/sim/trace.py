@@ -79,18 +79,3 @@ class ThroughputTrace:
         totals = np.bincount(idx, weights=w, minlength=bins)
         starts = np.arange(bins, dtype=np.float64) * bin_ns
         return ThroughputSeries(times=starts, rates=totals / bin_ns, bin_ns=bin_ns)
-
-    def sparkline(self, *, bins: int = 60, width: int = 60) -> str:
-        """ASCII sparkline of the throughput curve (for terminal figures)."""
-        series = self.series(bins=min(bins, width))
-        if series.rates.size == 0:
-            return "(empty)"
-        blocks = "▁▂▃▄▅▆▇█"
-        peak = series.peak()
-        if peak <= 0:
-            return "▁" * series.rates.size
-        levels = np.minimum(
-            (series.rates / peak * (len(blocks) - 1)).round().astype(int),
-            len(blocks) - 1,
-        )
-        return "".join(blocks[l] for l in levels)

@@ -100,3 +100,40 @@ def make_random_graph(n: int, avg_degree: float, seed: int) -> Csr:
     edges = np.stack([src[keep], dst[keep]], axis=1)
     both = np.concatenate([edges, edges[:, ::-1]], axis=0)
     return from_edges(n, both, name=f"rand{n}")
+
+
+@pytest.fixture(scope="session")
+def exposition_docs() -> dict[str, dict]:
+    """The three documents every Prometheus exposition lint test renders.
+
+    * ``service`` — a broker stats document with several tenants, one of
+      them named with a quote, a backslash and a newline;
+    * ``dist-2`` — a two-device BFS run summary (a labelled ``devices``
+      block, one family per device counter);
+    * ``quoted`` — a run summary whose dataset name holds ``"`` and ``\\``.
+
+    Shared and session-scoped: tests that alter one must copy it first.
+    """
+    import asyncio
+
+    from repro.core.config import CONFIGS
+    from repro.harness.runner import Lab
+    from repro.service import Broker, BrokerConfig, RunSpec
+
+    async def service_doc() -> dict:
+        async with Broker(BrokerConfig(workers=2)) as broker:
+            spec = RunSpec(app="bfs", dataset="roadNet-CA", size="tiny")
+            await broker.submit(spec, tenant="alpha")  # miss
+            await broker.submit(spec, tenant="alpha")  # hit
+            await broker.submit(spec, tenant="beta")
+            await broker.submit(spec, tenant='we"ird\\ten\nant')
+            return broker.stats()
+
+    lab = Lab(size="tiny")
+    summary = lab.run_config("bfs", "roadNet-CA", CONFIGS["persist-warp"], metrics=True)
+    dist = lab.run_config("bfs", "roadNet-CA", CONFIGS["dist-2"], metrics=True)
+    return {
+        "service": asyncio.run(service_doc()),
+        "dist-2": dist.extra["metrics"],
+        "quoted": dict(summary.extra["metrics"], dataset='my"gr\\aph'),
+    }

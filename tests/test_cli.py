@@ -113,7 +113,7 @@ class TestServiceCli:
 
         assert main(["submit", "--stats", "--port", str(live_service)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.service/stats-v1"
+        assert doc["schema"] == "repro.service/stats-v2"
 
     def test_submit_dead_server_one_line_diagnostic(self, capsys):
         port = _free_port()  # freshly released: nothing listens here

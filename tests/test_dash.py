@@ -7,21 +7,21 @@ failed one marked, coalesced traces share the leader's engine span), the
 wall-clock reconciliation the ISSUE pins (children nest inside the root
 and account for its wall time), the merged Chrome export (broker pid +
 engine pid joined by ``otherData.trace_id``), the wall-clock service
-series, the HTTP endpoints (``/dash``, ``/v1/timeseries``,
-``/v1/traces``), and both snapshot flavours.
+series read back through the stats document, the HTTP endpoints
+(``/dash``, ``/v1/stats``, ``/v1/traces``), the keys the dashboard
+script reads, and both snapshot flavours.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 
 import pytest
 
 from repro.dash import (
-    ServiceSeries,
     Trace,
-    TraceContext,
     Tracer,
     collector_snapshot,
     render_page,
@@ -30,6 +30,7 @@ from repro.dash import (
     write_snapshot,
 )
 from repro.service import Broker, BrokerConfig, JobFailed, QueueFull, RunSpec
+from repro.service.broker import COUNTERS, MAX_TENANTS, OVERFLOW_TENANT
 from repro.service.faults import FaultInjector
 from repro.service.http import ServiceServer
 
@@ -77,14 +78,6 @@ class TestTracePrimitives:
         span = trace.start_span("attempt")
         assert span.duration_ns == 0
         assert span.to_dict()["end_ns"] is None
-
-    def test_trace_context_child_of(self):
-        trace = Trace("abc", job="bfs", key="k", tenant="t")
-        ctx = TraceContext("abc", trace.root.span_id)
-        span = trace.start_span("attempt")
-        child_ctx = ctx.child_of(span)
-        assert child_ctx.trace_id == "abc"
-        assert child_ctx.span_id == span.span_id
 
     def test_tracer_capacity_is_fifo(self):
         tracer = Tracer(capacity=3)
@@ -166,7 +159,7 @@ class TestBrokerTraces:
                 a, b = await asyncio.gather(
                     broker.submit(spec, tenant="a"), broker.submit(spec, tenant="b")
                 )
-                assert broker.stats().coalesced == 1
+                assert broker.stats()["counters"]["coalesced"] == 1
                 return broker.trace_doc(a.trace_id), broker.trace_doc(b.trace_id)
 
         doc_a, doc_b = _run(main())
@@ -332,50 +325,56 @@ class TestMergedChrome:
 
 
 # ---------------------------------------------------------------------------
-# Wall-clock service series
+# Wall-clock service series, read back through Broker.stats()
 # ---------------------------------------------------------------------------
+def _stats_after(jobs: list[tuple[RunSpec, str]]) -> dict:
+    """The stats document of a fresh broker after ``(spec, tenant)`` jobs."""
+
+    async def main():
+        async with Broker(BrokerConfig(workers=1)) as broker:
+            for spec, tenant in jobs:
+                await broker.submit(spec, tenant=tenant)
+            return broker.stats()
+
+    return _run(main())
+
+
 class TestServiceSeries:
     def test_schema_and_names(self):
-        series = ServiceSeries()
-        doc = series.to_dict()
-        assert doc["schema"] == "repro.dash/timeseries-v1"
-        assert set(doc["series"]) == set(ServiceSeries.NAMES)
-        assert doc["wall_s"] >= 0
+        doc = Broker().stats()
+        assert doc["schema"] == "repro.service/stats-v2"
+        assert set(doc["counters"]) == set(COUNTERS)
+        assert set(doc["series"]) == {*COUNTERS, "queue_depth", "busy_workers"}
+        assert doc["series"]["queue_depth"]["kind"] == "gauge"
+        assert doc["tenants"] == {} and doc["wall_s"] >= 0
 
     def test_marks_accumulate(self):
-        series = ServiceSeries()
-        for _ in range(3):
-            series.mark("submitted")
-        series.gauge("queue_depth", 7)
-        doc = series.to_dict()
-        assert sum(doc["series"]["submitted"]["values"]) == pytest.approx(3.0)
-        assert doc["series"]["queue_depth"]["peak"] == 7
+        spec = RunSpec(app="bfs", **TINY)
+        doc = _stats_after([(spec, "a")] * 3)
+        for name, expected in (("submitted", 3), ("hits", 2), ("completed", 1)):
+            assert sum(doc["series"][name]["values"]) == pytest.approx(expected)
+            assert doc["counters"][name] == expected
+        assert doc["gauges"]["peak_queue_depth"] == 1
 
     def test_tenant_overflow_folds_into_other(self):
-        series = ServiceSeries(max_tenants=2)
-        for name in ("a", "b", "c", "d"):
-            series.mark_tenant(name, "submitted")
-        doc = series.to_dict()
-        assert set(doc["tenants"]) == {"a", "b", "…other"}
-        other = doc["tenants"]["…other"]["submitted"]
-        assert sum(other["values"]) == pytest.approx(2.0)
+        spec = RunSpec(app="bfs", **TINY)
+        names = [f"t{i:02d}" for i in range(MAX_TENANTS + 2)]
+        doc = _stats_after([(spec, name) for name in names])
+        assert set(doc["tenants"]) == {*names[:MAX_TENANTS], OVERFLOW_TENANT}
+        assert doc["tenants"][OVERFLOW_TENANT]["submitted"] == 2
+        for name in COUNTERS:
+            assert doc["counters"][name] == sum(t[name] for t in doc["tenants"].values())
 
     def test_broker_timeseries_document(self):
-        async def main():
-            async with Broker(BrokerConfig(workers=1)) as broker:
-                spec = RunSpec(app="bfs", **TINY)
-                await broker.submit(spec, tenant="a")
-                await broker.submit(spec, tenant="a")  # hit
-                return broker.timeseries()
-
-        doc = _run(main())
-        assert doc["schema"] == "repro.dash/timeseries-v1"
+        spec = RunSpec(app="bfs", **TINY)
+        doc = _stats_after([(spec, "a"), (spec, "a")])  # a miss, then a hit
         assert doc["tracing"] is True
         assert sum(doc["series"]["submitted"]["values"]) == pytest.approx(2.0)
         assert sum(doc["series"]["hits"]["values"]) == pytest.approx(1.0)
-        assert doc["stats"]["submitted"] == 2
-        assert doc["tenants"]["a"]
-        assert doc["stats"]["per_tenant"]["a"]["submitted"] == 2
+        # one meaning per counter: the broker and the tenant agree
+        assert doc["counters"]["completed"] == doc["tenants"]["a"]["completed"] == 1
+        assert doc["counters"]["hits"] == doc["tenants"]["a"]["hits"] == 1
+        assert doc["tenants"]["a"]["submitted"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +416,12 @@ class TestDashHttp:
         assert "window.SNAPSHOT = null" in body  # live mode polls, no embed
 
     def test_timeseries_and_traces_endpoints(self):
+        """The wall-clock series are served inside ``/v1/stats``."""
         async def main():
             async with ServiceServer(Broker(BrokerConfig(workers=1)), port=0) as srv:
                 job = {"app": "bfs", "dataset": "roadNet-CA", "size": "tiny"}
                 await _http(srv.port, "POST", "/v1/jobs", {"job": job})
-                s1, ts, _ = await _http(srv.port, "GET", "/v1/timeseries")
+                s1, ts, _ = await _http(srv.port, "GET", "/v1/stats")
                 s2, traces, _ = await _http(srv.port, "GET", "/v1/traces")
                 trace_id = traces["traces"][0]["trace_id"]
                 s3, detail, _ = await _http(srv.port, "GET", f"/v1/traces/{trace_id}")
@@ -431,7 +431,8 @@ class TestDashHttp:
                 return (s1, ts), (s2, traces), (s3, detail), (s4, chrome), trace_id
 
         (s1, ts), (s2, traces), (s3, detail), (s4, chrome), trace_id = _run(main())
-        assert s1 == 200 and ts["schema"] == "repro.dash/timeseries-v1"
+        assert s1 == 200 and ts["schema"] == "repro.service/stats-v2"
+        assert ts["series"]["submitted"]["values"]
         assert s2 == 200 and traces["schema"] == "repro.dash/traces-v1"
         assert traces["tracing"] is True and len(traces["traces"]) == 1
         assert s3 == 200 and detail["trace_id"] == trace_id
@@ -441,9 +442,9 @@ class TestDashHttp:
         "method, path, status, fragment",
         [
             ("GET", "/nope", 404, "no such endpoint"),
+            ("GET", "/v1/timeseries", 404, "no such endpoint"),
             ("GET", "/v1/traces/deadbeef", 404, "no such trace"),
             ("POST", "/dash", 405, "use GET"),
-            ("POST", "/v1/timeseries", 405, "use GET"),
             ("POST", "/v1/traces", 405, "use GET"),
             ("POST", "/v1/traces/abc", 405, "use GET"),
             ("POST", "/healthz", 405, "use GET"),
@@ -471,7 +472,7 @@ class TestDashHttp:
             async with ServiceServer(broker, port=0) as srv:
                 s1, traces, _ = await _http(srv.port, "GET", "/v1/traces")
                 s2, detail, _ = await _http(srv.port, "GET", "/v1/traces/abc")
-                s3, ts, _ = await _http(srv.port, "GET", "/v1/timeseries")
+                s3, ts, _ = await _http(srv.port, "GET", "/v1/stats")
                 return (s1, traces), (s2, detail), (s3, ts)
 
         (s1, traces), (s2, detail), (s3, ts) = _run(main())
@@ -489,8 +490,8 @@ class _LoopbackClient:
     def __init__(self, broker: Broker) -> None:
         self.broker = broker
 
-    def timeseries(self) -> dict:
-        return self.broker.timeseries()
+    def stats(self) -> dict:
+        return self.broker.stats()
 
     def traces(self) -> dict:
         return self.broker.traces_doc()
@@ -512,7 +513,8 @@ class TestSnapshots:
                 return service_snapshot(_LoopbackClient(broker))
 
         snapshot = _run(main())
-        assert snapshot["schema"] == "repro.dash/snapshot-v1"
+        assert snapshot["schema"] == "repro.dash/snapshot-v2"
+        assert snapshot["stats"]["counters"]["submitted"] == 2
         assert len(snapshot["traces"]["traces"]) == 2
         assert set(snapshot["details"]) == {
             row["trace_id"] for row in snapshot["traces"]["traces"]
@@ -550,4 +552,31 @@ class TestSnapshots:
     def test_render_page_live_mode(self):
         html = render_page(None)
         assert html.lstrip().startswith("<!DOCTYPE html>")
-        assert "/v1/timeseries" in html and "/v1/traces" in html
+        assert "/v1/stats" in html and "/v1/traces" in html
+        assert "/v1/timeseries" not in html
+
+    def test_every_key_the_page_reads_exists(self):
+        """The page reads the stats document as ``stats.<path>`` and each
+        tenant entry as ``tenant.<key>``; every one of those must resolve in
+        a live broker's ``/v1/stats``."""
+
+        async def main():
+            async with ServiceServer(Broker(BrokerConfig(workers=1)), port=0) as srv:
+                job = {"app": "bfs", "dataset": "roadNet-CA", "size": "tiny"}
+                await _http(srv.port, "POST", "/v1/jobs", {"job": job, "tenant": "a"})
+                await _http(srv.port, "POST", "/v1/jobs", {"job": job, "tenant": "b"})
+                return (await _http(srv.port, "GET", "/v1/stats"))[1]
+
+        doc = _run(main())
+        html = render_page(None)
+        paths = set(re.findall(r"\bstats((?:\.[a-z_0-9]+)+)", html))
+        assert len(paths) > 10, paths
+        for path in sorted(paths):
+            node = doc
+            for key in path[1:].split("."):
+                assert isinstance(node, dict) and key in node, f"stats{path} missing"
+                node = node[key]
+        tenant_keys = set(re.findall(r"\btenant\.([a-z_]+)", html))
+        assert tenant_keys and set(doc["tenants"]) == {"a", "b"}
+        for entry in doc["tenants"].values():
+            assert tenant_keys <= set(entry)

@@ -501,6 +501,15 @@ def _sparse_multi_octave_summary() -> dict:
     }
 
 
+def _lint_inputs(exposition_docs) -> list[tuple[str, dict, str]]:
+    """``(name, document, Prometheus prefix)``: the fabricated sparse summary
+    plus the shared service, ``dist-2`` and quoted-dataset documents."""
+    return [("sparse", _sparse_multi_octave_summary(), "repro")] + [
+        (which, doc, "repro_service" if "tenants" in doc else "repro")
+        for which, doc in exposition_docs.items()
+    ]
+
+
 class TestPrometheusHistogramLint:
     """Exposition-format contract for the cumulative-``le`` histograms."""
 
@@ -513,52 +522,57 @@ class TestPrometheusHistogramLint:
                 out.append((le_label, float(line.rsplit(" ", 1)[1])))
         return out
 
-    def test_cumulative_buckets_monotone_and_end_at_count(self):
-        doc = _sparse_multi_octave_summary()
-        text = to_prometheus(doc)
-        for hname in HISTOGRAM_NAMES:
-            buckets = self._bucket_lines(text, f"repro_{hname}")
-            assert len(buckets) >= 2
-            counts = [c for _, c in buckets]
-            assert counts == sorted(counts), f"{hname}: cumulative decreased"
-            assert buckets[-1][0] == "+Inf"
-            assert counts[-1] == doc["histograms"][hname]["count"]
-            # zero-bucket observations are part of every cumulative value
-            assert counts[0] >= doc["histograms"][hname]["zero"]
+    def test_cumulative_buckets_monotone_and_end_at_count(self, exposition_docs):
+        for which, doc, prefix in _lint_inputs(exposition_docs):
+            text = to_prometheus(doc)
+            for hname, hdoc in doc["histograms"].items():
+                buckets = self._bucket_lines(text, f"{prefix}_{hname}")
+                assert buckets, f"{which}/{hname}: no buckets"
+                counts = [c for _, c in buckets]
+                assert counts == sorted(counts), f"{which}/{hname}: cumulative decreased"
+                assert buckets[-1][0] == "+Inf"
+                assert counts[-1] == hdoc["count"]
+                # zero-bucket observations are part of every cumulative value
+                assert counts[0] >= hdoc["zero"]
+        sparse = _sparse_multi_octave_summary()
+        for hname in HISTOGRAM_NAMES:  # the sparse layout has real holes
+            assert len(self._bucket_lines(to_prometheus(sparse), f"repro_{hname}")) >= 2
 
-    def test_le_bounds_strictly_increasing(self):
-        text = to_prometheus(_sparse_multi_octave_summary())
-        for hname in HISTOGRAM_NAMES:
-            bounds = [
-                float(le) for le, _ in self._bucket_lines(text, f"repro_{hname}")
-                if le != "+Inf"
-            ]
-            assert all(a < b for a, b in zip(bounds, bounds[1:])), (
-                f"{hname}: le bounds not strictly increasing: {bounds}"
-            )
+    def test_le_bounds_strictly_increasing(self, exposition_docs):
+        for which, doc, prefix in _lint_inputs(exposition_docs):
+            text = to_prometheus(doc)
+            for hname in doc["histograms"]:
+                bounds = [
+                    float(le) for le, _ in self._bucket_lines(text, f"{prefix}_{hname}")
+                    if le != "+Inf"
+                ]
+                assert all(a < b for a, b in zip(bounds, bounds[1:])), (
+                    f"{which}/{hname}: le bounds not strictly increasing: {bounds}"
+                )
 
-    def test_le_labels_round_trip_large_floats(self):
+    def test_le_labels_round_trip_large_floats(self, exposition_docs):
         """The ``le`` label is the repr of the bound, so parsing it back
         must reproduce the exact float — including multi-terascale bounds
-        where fixed-precision formatting would lose bits."""
-        doc = _sparse_multi_octave_summary()
-        h = doc["histograms"][HISTOGRAM_NAMES[0]]
-        subbuckets, min_value = h["subbuckets"], h["min_value"]
-        exact = set()
-        for idx in (int(k) for k in h["buckets"]):
-            octave, sub = divmod(idx, subbuckets)
-            exact.add(min_value * 2.0**octave * (1.0 + (sub + 1) / subbuckets))
-        assert max(exact) > 1e12  # the large-float case is actually exercised
-        text = to_prometheus(doc)
-        labels = [
-            le for le, _ in self._bucket_lines(text, f"repro_{HISTOGRAM_NAMES[0]}")
-            if le != "+Inf"
-        ]
-        assert len(labels) == len(exact)
-        for le_label in labels:
-            parsed = float(le_label)
-            assert parsed in exact, f"le={le_label!r} lost precision"
-            assert repr(parsed) == le_label
+        (the sparse summary) where fixed-precision formatting would lose bits."""
+        for which, doc, prefix in _lint_inputs(exposition_docs):
+            text = to_prometheus(doc)
+            for hname, h in doc["histograms"].items():
+                subbuckets, min_value = h["subbuckets"], h["min_value"]
+                exact = set()
+                for idx in (int(k) for k in h["buckets"]):
+                    octave, sub = divmod(idx, subbuckets)
+                    exact.add(min_value * 2.0**octave * (1.0 + (sub + 1) / subbuckets))
+                if which == "sparse":
+                    assert max(exact) > 1e12  # the large-float case is exercised
+                labels = [
+                    le for le, _ in self._bucket_lines(text, f"{prefix}_{hname}")
+                    if le != "+Inf"
+                ]
+                assert len(labels) == len(exact), f"{which}/{hname}"
+                for le_label in labels:
+                    parsed = float(le_label)
+                    assert parsed in exact, f"{which}/{hname}: le={le_label!r} lost precision"
+                    assert repr(parsed) == le_label
 
 
 class TestSparkHardening:

@@ -21,10 +21,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.export import to_jsonl, to_prometheus
 from repro.service import (
     Broker,
     BrokerClosed,
     BrokerConfig,
+    FaultInjector,
+    JobFailed,
     JobSpecError,
     QueueFull,
     ResultCache,
@@ -34,6 +37,7 @@ from repro.service import (
     result_digest,
     spec_from_dict,
 )
+from repro.service.broker import COUNTERS, OUTCOMES
 from repro.service.http import ServiceServer
 from repro.service.jobs import validate_spec
 
@@ -276,7 +280,7 @@ class TestBroker:
         assert len(results) == 24
         for res in results:
             assert res.digest == refs[job_key(res.spec)]
-        assert stats.cache.hits + stats.coalesced > 0
+        assert stats["cache"]["hits"] + stats["counters"]["coalesced"] > 0
 
     def test_cold_jobs_count_one_miss_each(self):
         """Regression: the worker's re-check counted every cold job twice."""
@@ -289,8 +293,8 @@ class TestBroker:
                 return broker.stats()
 
         stats = _run(main())
-        assert stats.cache.misses == len(specs)
-        assert stats.cache.hits == 0
+        assert stats["cache"]["misses"] == len(specs)
+        assert stats["cache"]["hits"] == 0
 
     def test_single_flight_coalesces_identical_jobs(self):
         async def main():
@@ -303,8 +307,8 @@ class TestBroker:
 
         r1, r2, stats = _run(main())
         assert r1.digest == r2.digest
-        assert stats.coalesced == 1, "second identical job must join the first"
-        assert stats.completed == 1, "the simulation must have run exactly once"
+        assert stats["counters"]["coalesced"] == 1, "second identical job must join the first"
+        assert stats["counters"]["executed"] == 1, "the simulation must have run exactly once"
 
     def test_backpressure_full_queue_rejects(self):
         async def main():
@@ -323,7 +327,7 @@ class TestBroker:
         rejections = [r for r in settled if isinstance(r, QueueFull)]
         completions = [r for r in settled if not isinstance(r, BaseException)]
         assert rejections, "overflowing the tenant bound must raise QueueFull"
-        assert stats.rejected == len(rejections)
+        assert stats["counters"]["rejected"] == len(rejections)
         ref = result_digest(execute_spec(RunSpec(app="bfs", **TINY, seed=0)))
         for res in completions:
             if res.spec.seed == 0:
@@ -411,7 +415,8 @@ class TestBroker:
                 return broker.stats()
 
         stats = _run(main())
-        assert stats.completed == 0 and stats.queue_depth == 0
+        assert stats["counters"]["submitted"] == stats["counters"]["executed"] == 0
+        assert stats["gauges"]["queue_depth"] == 0
 
     def test_latency_histograms_populated(self):
         async def main():
@@ -421,10 +426,72 @@ class TestBroker:
                 await broker.submit(spec)
                 return broker.stats()
 
+        hists = _run(main())["histograms"]
+        assert hists["miss_latency_ms"]["count"] == 1
+        assert hists["hit_latency_ms"]["count"] == 1
+        assert hists["hit_latency_ms"]["p50"] <= hists["miss_latency_ms"]["p50"]
+
+    def test_every_outcome_counted_once(self):
+        """One job of each outcome across two tenants: once nothing is in
+        flight, ``submitted`` is the sum of the five outcomes, globally and
+        per tenant, and the tenants sum to the broker."""
+        bfs, pagerank = RunSpec(app="bfs", **TINY), RunSpec(app="pagerank", **TINY)
+
+        async def main():
+            faults = FaultInjector(seed=1)
+            config = BrokerConfig(
+                workers=1, tenant_queue_limit=1, max_attempts=1, faults=faults
+            )
+            async with Broker(config) as broker:
+                await broker.submit(bfs, tenant="a")  # completed
+                await broker.submit(bfs, tenant="b")  # hit
+                # all four enter before the worker wakes: the second joins the
+                # first, the third fills b's one-slot queue, the fourth bounces
+                settled = await asyncio.gather(
+                    broker.submit(pagerank, tenant="a"),  # completed
+                    broker.submit(pagerank, tenant="b"),  # coalesced
+                    broker.submit(RunSpec(app="bfs", **TINY, seed=5), tenant="b"),
+                    broker.submit(RunSpec(app="bfs", **TINY, seed=6), tenant="b"),
+                    return_exceptions=True,
+                )
+                assert isinstance(settled[3], QueueFull)  # rejected
+                faults.script_kills(1)  # the only attempt dies
+                with pytest.raises(JobFailed):
+                    await broker.submit(RunSpec(app="bfs", **TINY, seed=7), tenant="a")
+                return broker.stats()
+
         stats = _run(main())
-        assert stats.miss_latency_ms["count"] == 1
-        assert stats.hit_latency_ms["count"] == 1
-        assert stats.hit_latency_ms["p50"] <= stats.miss_latency_ms["p50"]
+        counters, tenants = stats["counters"], stats["tenants"]
+        assert {name: counters[name] for name in OUTCOMES} == {
+            "hits": 1, "coalesced": 1, "completed": 3, "rejected": 1, "failed": 1,
+        }
+        assert counters["executed"] == 3
+        assert set(tenants) == {"a", "b"}
+        for block in (counters, *tenants.values()):
+            assert block["submitted"] == sum(block[name] for name in OUTCOMES)
+        for name in COUNTERS:
+            assert counters[name] == sum(block[name] for block in tenants.values())
+            assert counters[name] == sum(stats["series"][name]["values"])
+
+    def test_follower_of_a_failed_leader_counts_failed(self):
+        async def main():
+            faults = FaultInjector(seed=1)
+            faults.script_kills(1)
+            config = BrokerConfig(workers=1, max_attempts=1, faults=faults)
+            async with Broker(config) as broker:
+                spec = RunSpec(app="bfs", **TINY)
+                settled = await asyncio.gather(
+                    broker.submit(spec, tenant="a"),
+                    broker.submit(spec, tenant="b"),
+                    return_exceptions=True,
+                )
+                return settled, broker.stats()
+
+        settled, stats = _run(main())
+        assert all(isinstance(r, JobFailed) for r in settled)
+        assert stats["counters"]["failed"] == 2
+        assert stats["counters"]["coalesced"] == 0
+        assert stats["tenants"]["b"]["failed"] == 1
 
 
 @pytest.mark.slow
@@ -449,8 +516,8 @@ def test_load_storm_1000_clients_digest_match():
     assert all(r.digest == refs[job_key(r.spec)] for r in results)
     # all 1000 clients submit before any of the 5 distinct jobs completes,
     # so the warm path here is single-flight coalescing, not cache hits
-    assert stats.coalesced + stats.cache.hits >= 900
-    assert stats.completed <= len(specs)
+    assert stats["counters"]["coalesced"] + stats["cache"]["hits"] >= 900
+    assert stats["counters"]["executed"] <= len(specs)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +560,8 @@ class TestHttp:
         assert r1["cached"] is False and r2["cached"] is True
         ref = result_digest(execute_spec(RunSpec(app="bfs", **TINY)))
         assert r1["digest"] == ref
-        assert s3 == 200 and stats["schema"] == "repro.service/stats-v1"
-        assert stats["submitted"] == 2
+        assert s3 == 200 and stats["schema"] == "repro.service/stats-v2"
+        assert stats["counters"]["submitted"] == 2
         assert s4 == 200 and "repro_service_submitted_total 2" in metrics
 
     @pytest.mark.parametrize(
@@ -558,96 +625,85 @@ class TestHttp:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry exporters: per-tenant labels + exposition-format lint
+# Telemetry exporters: per-tenant labels + exposition-format lint, run over
+# the three documents of the ``exposition_docs`` fixture (tests/conftest.py)
 # ---------------------------------------------------------------------------
-def _tenant_stats_doc() -> dict:
-    """A stats document with per-tenant traffic, straight off a broker."""
+_SAMPLE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9].*$")
+#: one label pair; the value may hold only escaped quotes/backslashes/newlines
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"')
 
-    async def main():
-        async with Broker(BrokerConfig(workers=2, tenant_queue_limit=1)) as broker:
-            spec = RunSpec(app="bfs", **TINY)
-            await broker.submit(spec, tenant="alpha")
-            await broker.submit(spec, tenant="alpha")  # warm hit
-            await broker.submit(spec, tenant="beta")
-            return broker.stats().to_dict()
 
-    return _run(main())
+def _label_values(line: str) -> list[str]:
+    """Unescaped label values of one sample line; asserts the label set parses."""
+    if "{" not in line:
+        return []
+    inner = line[line.index("{") + 1 : line.rindex("}")]
+    pairs = list(_LABEL.finditer(inner))
+    assert ",".join(m.group(0) for m in pairs) == inner, f"unescaped label: {line!r}"
+    unescape = {"\\\\": "\\", '\\"': '"', "\\n": "\n"}
+    return [
+        re.sub(r'\\[\\"n]', lambda m: unescape[m.group(0)], m.group(2)) for m in pairs
+    ]
 
 
 class TestTelemetry:
-    def test_per_tenant_labelled_series(self):
-        from repro.service.telemetry import stats_to_prometheus
-
-        doc = _tenant_stats_doc()
-        text = stats_to_prometheus(doc)
+    def test_per_tenant_labelled_series(self, exposition_docs):
+        text = to_prometheus(exposition_docs["service"])
         assert 'repro_service_tenant_submitted_total{tenant="alpha"} 2' in text
         assert 'repro_service_tenant_submitted_total{tenant="beta"} 1' in text
-        assert 'repro_service_tenant_completed_total{tenant="alpha"} 2' in text
+        assert 'repro_service_tenant_completed_total{tenant="alpha"} 1' in text
+        assert 'repro_service_tenant_hits_total{tenant="alpha"} 1' in text
         assert 'repro_service_tenant_rejected_total{tenant="alpha"} 0' in text
         assert 'repro_service_tenant_queue_depth{tenant="alpha"} 0' in text
 
-    def test_one_type_line_per_labelled_family(self):
+    def test_one_type_line_per_labelled_family(self, exposition_docs):
         """Exposition lint: a family is declared once, above all its samples."""
-        from repro.service.telemetry import stats_to_prometheus
+        for which, doc in exposition_docs.items():
+            lines = to_prometheus(doc).splitlines()
+            families = [ln.split()[2] for ln in lines if ln.startswith("# TYPE ")]
+            assert len(families) == len(set(families)), f"{which}: duplicate # TYPE"
+            declared: set[str] = set()
+            for ln in lines:
+                if ln.startswith("# TYPE "):
+                    declared.add(ln.split()[2])
+                    continue
+                name = ln.split("{")[0].split()[0]
+                base = re.sub(r"_(bucket|sum|count)$", "", name)
+                assert name in declared or base in declared, f"{which}: undeclared {name}"
 
-        lines = stats_to_prometheus(_tenant_stats_doc()).splitlines()
-        type_decls = [ln for ln in lines if ln.startswith("# TYPE ")]
-        families = [ln.split()[2] for ln in type_decls]
-        assert len(families) == len(set(families)), "duplicate # TYPE declaration"
-        # every labelled tenant sample sits under exactly one declaration
-        declared = set(families)
-        for ln in lines:
-            if ln.startswith("#") or not ln.strip():
-                continue
-            name = ln.split("{")[0].split()[0]
-            base = name
-            for suffix in ("_bucket", "_sum", "_count"):
-                if base.endswith(suffix):
-                    base = base[: -len(suffix)]
-            assert base in declared, f"undeclared sample {name}"
-
-    def test_exposition_lines_are_well_formed(self):
+    def test_exposition_lines_are_well_formed(self, exposition_docs):
         """Every sample line parses as ``name{labels} value``."""
-        import re
+        for which, doc in exposition_docs.items():
+            for ln in to_prometheus(doc).splitlines():
+                if ln.startswith("#") or not ln.strip():
+                    continue
+                assert _SAMPLE.match(ln), f"{which}: malformed exposition line: {ln!r}"
 
-        from repro.service.telemetry import stats_to_prometheus
-
-        sample = re.compile(
-            r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9].*$"
-        )
-        for ln in stats_to_prometheus(_tenant_stats_doc()).splitlines():
-            if ln.startswith("#") or not ln.strip():
-                continue
-            assert sample.match(ln), f"malformed exposition line: {ln!r}"
-
-    def test_tenant_label_values_are_escaped(self):
-        from repro.service.telemetry import stats_to_prometheus
-
-        doc = _tenant_stats_doc()
-        doc["per_tenant"] = {
-            'we"ird\\ten\nant': {"submitted": 1, "completed": 1,
-                                 "rejected": 0, "queue_depth": 0}
-        }
-        text = stats_to_prometheus(doc)
+    def test_tenant_label_values_are_escaped(self, exposition_docs):
+        """Tenant and run-identity label values round-trip through escaping."""
+        for which, doc in exposition_docs.items():
+            values: set[str] = set()
+            for ln in to_prometheus(doc).splitlines():
+                if not ln.startswith("#"):
+                    values.update(_label_values(ln))
+            expected = set(doc["tenants"]) if "tenants" in doc else {doc["dataset"]}
+            assert expected <= values, f"{which}: {expected - values} lost"
+        text = to_prometheus(exposition_docs["service"])
         assert '{tenant="we\\"ird\\\\ten\\nant"}' in text
+        assert 'dataset="my\\"gr\\\\aph"' in to_prometheus(exposition_docs["quoted"])
 
-    def test_jsonl_has_tenant_records(self):
-        from repro.service.telemetry import stats_to_jsonl
-
-        doc = _tenant_stats_doc()
-        records = [json.loads(ln) for ln in stats_to_jsonl(doc).splitlines()]
+    def test_jsonl_has_tenant_records(self, exposition_docs):
+        text = to_jsonl(exposition_docs["service"])
+        records = [json.loads(ln) for ln in text.splitlines()]
         tenants = {r["tenant"]: r for r in records if r["kind"] == "tenant"}
         assert tenants["alpha"]["submitted"] == 2
         assert tenants["beta"]["submitted"] == 1
 
-    def test_no_tenants_no_tenant_lines(self):
-        from repro.service.telemetry import stats_to_prometheus
+    def test_no_tenants_no_tenant_lines(self, exposition_docs):
+        doc = dict(exposition_docs["service"], tenants={})
+        assert "tenant_" not in to_prometheus(doc)
 
-        doc = _tenant_stats_doc()
-        doc["per_tenant"] = {}
-        assert "tenant_" not in stats_to_prometheus(doc)
-
-    def test_stats_doc_carries_per_tenant_block(self):
-        doc = _tenant_stats_doc()
-        assert doc["per_tenant"]["alpha"]["completed"] == 2
-        assert doc["per_tenant"]["beta"]["queue_depth"] == 0
+    def test_stats_doc_carries_per_tenant_block(self, exposition_docs):
+        tenants = exposition_docs["service"]["tenants"]
+        assert tenants["alpha"]["completed"] == 1 and tenants["alpha"]["hits"] == 1
+        assert tenants["beta"]["hits"] == 1 and tenants["beta"]["queue_depth"] == 0

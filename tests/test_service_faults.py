@@ -112,8 +112,8 @@ class TestKillRecovery:
         result, stats = _run(main())
         assert result.attempts == 2, "first attempt died, second succeeded"
         assert result.digest == bfs_ref, "a retried job must be digest-identical"
-        assert stats.retries == 1 and stats.kills_injected == 1
-        assert stats.failed == 0
+        assert stats["counters"]["retries"] == 1 and stats["faults"]["kills_injected"] == 1
+        assert stats["counters"]["failed"] == 0
 
     def test_retry_budget_exhausted_fails_job_not_broker(self, bfs_ref):
         async def main():
@@ -131,8 +131,9 @@ class TestKillRecovery:
 
         result, stats = _run(main())
         assert result.digest == bfs_ref
-        assert stats.failed == 1 and stats.completed == 1
-        assert stats.retries == 2, "the third kill ends the job, not a retry"
+        assert stats["counters"]["failed"] == 1 and stats["counters"]["completed"] == 1
+        assert stats["counters"]["executed"] == 1
+        assert stats["counters"]["retries"] == 2, "the third kill ends the job, not a retry"
 
     def test_probabilistic_kills_under_load_all_digests_correct(self):
         specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(3)]
@@ -152,9 +153,10 @@ class TestKillRecovery:
 
         results, stats = _run(main())
         assert all(r.digest == refs[job_key(r.spec)] for r in results)
-        assert stats.kills_injected > 0, "seed 42 at p=0.3 must land some kills"
-        assert stats.retries == stats.kills_injected
-        assert stats.failed == 0
+        kills = stats["faults"]["kills_injected"]
+        assert kills > 0, "seed 42 at p=0.3 must land some kills"
+        assert stats["counters"]["retries"] == kills
+        assert stats["counters"]["failed"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +179,11 @@ class TestTimeouts:
                 return broker.stats()
 
         stats = _run(main())
-        assert stats.timeouts == 2, "every attempt straggled past the timeout"
+        assert stats["counters"]["timeouts"] == 2, "every attempt straggled past the timeout"
         # attempt 2 may time out while queued behind attempt 1's still-
         # sleeping executor thread, in which case it never draws a delay
-        assert stats.delays_injected >= 1
-        assert stats.failed == 1
+        assert stats["faults"]["delays_injected"] >= 1
+        assert stats["counters"]["failed"] == 1
 
     def test_straggler_recovers_when_delay_stops(self, bfs_ref):
         """Seeded so only the first attempt straggles: the retry lands."""
@@ -204,8 +206,8 @@ class TestTimeouts:
 
         result, stats = _run(main())
         assert result.digest == bfs_ref
-        assert stats.timeouts >= 1
-        assert result.attempts == stats.timeouts + 1
+        assert stats["counters"]["timeouts"] >= 1
+        assert result.attempts == stats["counters"]["timeouts"] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,8 @@ class TestPoisonRecovery:
         first, second, stats = _run(main())
         assert first.digest == second.digest == bfs_ref
         assert not second.cached, "the poisoned entry must not be served"
-        assert stats.cache.poisons_detected == 1
-        assert stats.completed == 2, "detection forces a recompute"
+        assert stats["cache"]["poisons_detected"] == 1
+        assert stats["counters"]["executed"] == 2, "detection forces a recompute"
 
     def test_poison_storm_never_serves_corruption(self):
         specs = [RunSpec(app="bfs", **TINY, seed=s) for s in range(3)]
@@ -242,10 +244,10 @@ class TestPoisonRecovery:
 
         warm, stats = _run(main())
         assert all(r.digest == refs[job_key(r.spec)] for r in warm)
-        assert stats.poisons_injected > 0
-        detected = stats.cache.poisons_detected
+        assert stats["faults"]["poisons_injected"] > 0
+        detected = stats["cache"]["poisons_detected"]
         assert detected > 0, "resubmits must trip the integrity check"
-        assert stats.failed == 0
+        assert stats["counters"]["failed"] == 0
 
     def test_poison_detection_is_not_a_failure_mode(self, bfs_ref):
         """Mixed chaos: kills, delays and poisons together, digests exact."""
@@ -270,10 +272,8 @@ class TestPoisonRecovery:
         results, stats = _run(main())
         assert len(results) == 20
         assert all(r.digest == refs[job_key(r.spec)] for r in results)
-        assert stats.failed == 0
-        assert (
-            stats.kills_injected + stats.delays_injected + stats.poisons_injected > 0
-        ), "seed 1234 must actually inject chaos"
+        assert stats["counters"]["failed"] == 0
+        assert sum(stats["faults"].values()) > 0, "seed 1234 must actually inject chaos"
 
 
 # ---------------------------------------------------------------------------
@@ -299,4 +299,4 @@ def test_graceful_drain_under_faults():
     results, stats = _run(main())
     assert len(results) == 4, "drain must finish every accepted job"
     assert all(r.digest == refs[job_key(r.spec)] for r in results)
-    assert stats.queue_depth == 0 and stats.draining
+    assert stats["gauges"]["queue_depth"] == 0 and stats["gauges"]["draining"]

@@ -48,17 +48,6 @@ class TestTrace:
         with pytest.raises(ValueError):
             ThroughputTrace().series(bins=0)
 
-    def test_sparkline_renders(self):
-        tr = ThroughputTrace()
-        for t in range(10):
-            tr.record(float(t + 1), t, 0)
-        spark = tr.sparkline(bins=10)
-        assert len(spark) == 10
-        assert set(spark) <= set("▁▂▃▄▅▆▇█")
-
-    def test_sparkline_empty(self):
-        assert ThroughputTrace().sparkline() == "(empty)"
-
 
 class TestSeries:
     def test_normalized_divides(self):
