@@ -90,17 +90,14 @@ class SpeculativeBfsKernel:
             return (kept, cand, end - start)
         # read-instant loads: own depths and neighbor depths
         own_depth = self.depth[items]
-        _, nbrs = g.gather_neighbors(items)
-        degrees = g.indptr[items + 1] - g.indptr[items]
-        edge_work = int(degrees.sum())
-        if nbrs.size:
+        pos, flat, _ = g.segments(items)
+        if flat.size:
+            nbrs = g.indices[flat]
             # candidate depth for each edge = depth(src at read) + 1
-            src_pos = np.repeat(np.arange(items.size), degrees)
-            cand = own_depth[src_pos] + 1
-            seen = self.depth[nbrs]
-            keep = cand < seen  # speculative improvement as of the read
-            return (nbrs[keep], cand[keep], edge_work)
-        return (EMPTY_ITEMS, EMPTY_ITEMS, edge_work)
+            cand = own_depth[pos] + 1
+            keep = cand < self.depth[nbrs]  # speculative improvement as of the read
+            return (nbrs[keep], cand[keep], flat.size)
+        return (EMPTY_ITEMS, EMPTY_ITEMS, 0)
 
     def on_complete(self, items: np.ndarray, payload, t: float) -> CompletionResult:
         nbrs, cand, edge_work = payload

@@ -76,15 +76,13 @@ class AsyncCcKernel:
             cand.fill(label)
             return (kept, cand, end - start)
         own = self.labels[items]
-        _, nbrs = g.gather_neighbors(items)
-        degrees = g.indptr[items + 1] - g.indptr[items]
-        edge_work = int(degrees.sum())
-        if nbrs.size == 0:
-            return (EMPTY_ITEMS, EMPTY_ITEMS, edge_work)
-        src_pos = np.repeat(np.arange(items.size), degrees)
-        cand = own[src_pos]
+        pos, flat, _ = g.segments(items)
+        if flat.size == 0:
+            return (EMPTY_ITEMS, EMPTY_ITEMS, 0)
+        nbrs = g.indices[flat]
+        cand = own[pos]
         keep = cand < self.labels[nbrs]
-        return (nbrs[keep], cand[keep], edge_work)
+        return (nbrs[keep], cand[keep], flat.size)
 
     def on_complete(self, items: np.ndarray, payload, t: float) -> CompletionResult:
         nbrs, cand, edge_work = payload
@@ -165,14 +163,13 @@ def run_bsp(
         iterations += 1
         if iterations > limit:
             raise RuntimeError("label propagation failed to converge")
-        _, nbrs = graph.gather_neighbors(frontier)
-        degrees = graph.indptr[frontier + 1] - graph.indptr[frontier]
+        pos, flat, _ = graph.segments(frontier)
+        nbrs = graph.indices[flat]
         edge_count = int(nbrs.size)
         edges_propagated += edge_count
         items += int(frontier.size)
         if edge_count:
-            src_pos = np.repeat(np.arange(frontier.size), degrees)
-            cand = labels[frontier][src_pos]
+            cand = labels[frontier][pos]
             before = labels[nbrs].copy()
             np.minimum.at(labels, nbrs, cand)
             improved = np.unique(nbrs[labels[nbrs] < before])

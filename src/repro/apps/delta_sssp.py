@@ -94,18 +94,13 @@ def run_delta_stepping(
         live = np.unique(live)
         if live.size == 0:
             continue
-        degrees = graph.indptr[live + 1] - graph.indptr[live]
-        total = int(degrees.sum())
+        pos, flat, _ = graph.segments(live)
+        total = flat.size
         edges_relaxed += total
         items += int(live.size)
         if total:
-            _, nbrs = graph.gather_neighbors(live)
-            starts = graph.indptr[live]
-            flat = np.concatenate(
-                [np.arange(s, s + d) for s, d in zip(starts, degrees)]
-            )
-            src_pos = np.repeat(np.arange(live.size), degrees)
-            cand = dist[live][src_pos] + weights[flat]
+            nbrs = graph.indices[flat]
+            cand = dist[live][pos] + weights[flat]
             before = dist[nbrs].copy()
             np.minimum.at(dist, nbrs, cand)
             improved = np.unique(nbrs[dist[nbrs] < before])

@@ -122,11 +122,11 @@ class IncrementalBfsKernel(SpeculativeBfsKernel):
         invalid = np.zeros(n, dtype=bool)
         invalid[frontier] = True
         while frontier.size:
-            degrees = graph.indptr[frontier + 1] - graph.indptr[frontier]
-            _, nbrs = graph.gather_neighbors(frontier)
-            if nbrs.size == 0:
+            pos, flat, _ = graph.segments(frontier)
+            if flat.size == 0:
                 break
-            d_src = np.repeat(depth[frontier], degrees)
+            nbrs = graph.indices[flat]
+            d_src = depth[frontier][pos]
             grow = (~invalid[nbrs]) & (depth[nbrs] == d_src + 1)
             frontier = np.unique(nbrs[grow])
             invalid[frontier] = True
@@ -267,17 +267,12 @@ class IncrementalPageRankKernel(AsyncPageRankKernel):
         self.residue[items] = 0.0
         np.add.at(self.rank, items, res)
         self.scan_threshold[items] = self.epsilon
-        degrees = g.indptr[items + 1] - g.indptr[items]
-        active = (res != 0.0) & (degrees > 0)  # signed claim
-        edge_work = int(degrees[active].sum())
-        if edge_work:
-            act_items = items[active]
-            _, nbrs = g.gather_neighbors(act_items)
-            contrib_per_src = self.lam * res[active] / degrees[active]
-            src_pos = np.repeat(np.arange(act_items.size), degrees[active])
-            contrib = contrib_per_src[src_pos]
-            return (nbrs, contrib, edge_work)
-        return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), edge_work)
+        active = (res != 0.0) & (self.out_deg[items] > 0)  # signed claim
+        pos, flat, degrees = g.segments(items[active])
+        if flat.size:
+            contrib = (self.lam * res[active] / degrees)[pos]
+            return (g.indices[flat], contrib, flat.size)
+        return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), 0)
 
     def on_complete(self, items, payload, t):
         from repro.core.kernel import CompletionResult

@@ -91,7 +91,8 @@ class AsyncKcoreKernel:
         self.in_queue[items] = False
         if fresh.size == 0:
             return CompletionResult(items_retired=int(items.size))
-        _, nbrs = self.graph.gather_neighbors(fresh)
+        g = self.graph
+        nbrs = g.indices[g.segments(fresh)[1]]
         self.edges_touched += int(nbrs.size)
         if nbrs.size:
             np.subtract.at(self.eff_degree, nbrs, 1)

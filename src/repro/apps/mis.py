@@ -43,6 +43,17 @@ OUT = 0
 IN = 1
 
 
+def _decide(graph: Csr, status: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Every vertex's status by the lexicographic rule, read from one
+    snapshot of ``status`` through one segmented gather: OUT when a smaller
+    neighbor is IN, else IN."""
+    pos, flat, _ = graph.segments(vertices)
+    nbrs = graph.indices[flat]
+    decided = np.full(vertices.size, IN, dtype=np.int8)
+    decided[pos[(nbrs < vertices[pos]) & (status[nbrs] == IN)]] = OUT
+    return decided
+
+
 class AsyncMisKernel:
     """Chaotic-iteration kernel for the lexicographic MIS."""
 
@@ -73,13 +84,11 @@ class AsyncMisKernel:
 
     def on_read(self, items: np.ndarray, t: float):
         self.in_queue[items] = False
-        decided = np.empty(items.size, dtype=np.int8)
         if items.size == 1:
+            decided = np.empty(1, dtype=np.int8)
             decided[0] = self._evaluate(items.item(0))
             return decided
-        for i, v in enumerate(items):
-            decided[i] = self._evaluate(int(v))
-        return decided
+        return _decide(self.graph, self.status, items)
 
     def on_complete(self, items: np.ndarray, payload, t: float) -> CompletionResult:
         decided = payload
@@ -107,34 +116,33 @@ class AsyncMisKernel:
         self.status[items] = decided
         if changed.size == 0:
             return CompletionResult(items_retired=int(items.size), work_units=float(items.size))
-        # a flipped vertex invalidates its larger neighbors' decisions
-        pushes = []
-        for v in changed:
-            nbrs = self.graph.neighbors(int(v))
-            bigger = nbrs[nbrs > v]
-            fresh = bigger[~self.in_queue[bigger]]
-            if fresh.size:
-                self.in_queue[fresh] = True
-                pushes.append(fresh.astype(np.int64))
-        new_items = np.concatenate(pushes) if pushes else EMPTY_ITEMS
+        # a flipped vertex invalidates its larger neighbors' decisions.
+        # Walking ``changed`` in order, the first vertex to reach a neighbor
+        # not yet queued pushes it (with every copy in its own list); later
+        # vertices see it queued.
+        g = self.graph
+        pos, flat, _ = g.segments(changed)
+        nbrs = g.indices[flat]
+        hit = (nbrs > changed[pos]) & ~self.in_queue[nbrs]
+        pos, nbrs = pos[hit], nbrs[hit]
+        _, first, inverse = np.unique(nbrs, return_index=True, return_inverse=True)
+        fresh = nbrs[pos == pos[first][inverse]]
+        self.in_queue[fresh] = True
         return CompletionResult(
-            new_items=new_items,
+            new_items=fresh,
             items_retired=int(items.size),
             work_units=float(items.size),
         )
 
     def final_check(self, t: float) -> np.ndarray:
-        """Safety net: re-evaluate any vertex whose status is inconsistent."""
-        bad = [
-            v
-            for v in range(self.graph.num_vertices)
-            if self.status[v] != self._evaluate(v)
-        ]
-        if not bad:
+        """Safety net: re-evaluate any vertex whose status is inconsistent
+        (one pass over the edge array; ascending vertex order)."""
+        vertices = np.arange(self.graph.num_vertices, dtype=np.int64)
+        bad = np.flatnonzero(self.status != _decide(self.graph, self.status, vertices))
+        if bad.size == 0:
             return EMPTY_ITEMS
-        arr = np.asarray(bad, dtype=np.int64)
-        self.in_queue[arr] = True
-        return arr
+        self.in_queue[bad] = True
+        return bad
 
 
 def run_atos(
@@ -179,12 +187,7 @@ def run_bsp(
         iterations += 1
         if iterations > limit:
             raise RuntimeError("MIS iteration failed to converge")
-        snapshot = status.copy()
-        decided = np.empty(frontier.size, dtype=np.int8)
-        for i, v in enumerate(frontier):
-            nbrs = graph.neighbors(int(v))
-            smaller = nbrs[nbrs < v]
-            decided[i] = OUT if (snapshot[smaller] == IN).any() else IN
+        decided = _decide(graph, status, frontier)
         evaluations += int(frontier.size)
         changed = frontier[status[frontier] != decided]
         status[frontier] = decided
@@ -200,11 +203,9 @@ def run_bsp(
         timeline.end_iteration()
         if changed.size == 0:
             break
-        nxt = []
-        for v in changed:
-            nbrs = graph.neighbors(int(v))
-            nxt.append(nbrs[nbrs > v])
-        frontier = np.unique(np.concatenate(nxt)) if nxt else EMPTY_ITEMS
+        pos, flat, _ = graph.segments(changed)
+        nbrs = graph.indices[flat]
+        frontier = np.unique(nbrs[nbrs > changed[pos]])
 
     return AppResult(
         app="mis",

@@ -176,18 +176,13 @@ class AsyncPageRankKernel:
         self.residue[items] = 0.0
         np.add.at(self.rank, items, res)
         self.scan_threshold[items] = self.epsilon
-        degrees = g.indptr[items + 1] - g.indptr[items]
         # only vertices with claimed residue and outgoing edges push
-        active = (res > 0.0) & (degrees > 0)
-        edge_work = int(degrees[active].sum())
-        if edge_work:
-            act_items = items[active]
-            _, nbrs = g.gather_neighbors(act_items)
-            contrib_per_src = self.lam * res[active] / degrees[active]
-            src_pos = np.repeat(np.arange(act_items.size), degrees[active])
-            contrib = contrib_per_src[src_pos]
-            return (nbrs, contrib, edge_work)
-        return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), edge_work)
+        active = (res > 0.0) & (self.out_deg[items] > 0)
+        pos, flat, degrees = g.segments(items[active])
+        if flat.size:
+            contrib = (self.lam * res[active] / degrees)[pos]
+            return (g.indices[flat], contrib, flat.size)
+        return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), 0)
 
     def on_complete(self, items: np.ndarray, payload, t: float) -> CompletionResult:
         nbrs, contrib, edge_work = payload

@@ -130,31 +130,31 @@ class Csr:
             return 0
         return int((self.indptr[f + 1] - self.indptr[f]).sum())
 
-    def gather_neighbors(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten the neighbor lists of ``frontier`` into one array.
+    def segments(self, items: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segmented gather of the neighbor lists of ``items``.
 
-        Returns ``(sources, destinations)`` where ``sources[k]`` is the
-        frontier vertex whose edge produced ``destinations[k]``.  This is the
-        vectorised equivalent of the load-balancing-search flattening the
-        paper describes (Section 3.3) and is the workhorse behind both the
-        BSP engine and CTA-worker task processing.
+        Returns ``(pos, flat, degrees)``: ``degrees[i]`` is the out-degree
+        of ``items[i]``, and gathered edge ``k`` is CSR entry ``flat[k]`` of
+        source ``items[pos[k]]`` (its neighbor is ``indices[flat[k]]``, its
+        weight ``weights[flat[k]]``).  Edges come in item order, each list
+        in CSR order.  This is the vectorised load-balancing search of the
+        paper (Section 3.3): one gather expands a whole batch, which is how
+        the BSP runners and every multi-item task read their edges.
         """
+        starts = self.indptr[items]
+        degrees = self.indptr[items + 1] - starts
+        pos = np.repeat(np.arange(degrees.size), degrees)
+        # CSR offset = segment start + rank inside the segment
+        base = starts - np.cumsum(degrees) + degrees
+        flat = np.arange(pos.size) + base[pos]
+        return pos, flat, degrees
+
+    def gather_neighbors(self, frontier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(sources, destinations)`` of every out-edge of ``frontier``,
+        flattened in frontier order (see :meth:`segments`)."""
         frontier = _as_index_array(frontier)
-        if frontier.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        starts = self.indptr[frontier]
-        degrees = self.indptr[frontier + 1] - starts
-        total = int(degrees.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # Classic CSR segmented gather: repeat sources, build flat offsets.
-        sources = np.repeat(frontier, degrees)
-        seg_offsets = np.repeat(starts - np.concatenate(([0], np.cumsum(degrees)[:-1])), degrees)
-        flat = np.arange(total, dtype=np.int64) + seg_offsets
-        destinations = self.indices[flat]
-        return sources, destinations
+        pos, flat, _ = self.segments(frontier)
+        return frontier[pos], self.indices[flat]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate all directed edges as ``(src, dst)`` pairs (slow path)."""

@@ -115,20 +115,6 @@ class MpmcQueue:
     def __bool__(self) -> bool:
         return self.size > 0
 
-    def _acquire_pop_atomic(self, now: float) -> float:
-        """Serialize on the head counter; returns the operation end time."""
-        start = max(now, self._pop_atomic_free)
-        self.stats.contention_wait_ns += start - now
-        self._pop_atomic_free = start + self.atomic_ns
-        return self._pop_atomic_free
-
-    def _acquire_push_atomic(self, now: float) -> float:
-        """Serialize on the tail counter; returns the operation end time."""
-        start = max(now, self._push_atomic_free)
-        self.stats.contention_wait_ns += start - now
-        self._push_atomic_free = start + self.atomic_ns
-        return self._push_atomic_free
-
     def _ensure_room(self, extra: int) -> None:
         if self._tail + extra <= self._buf.size:
             return
@@ -160,7 +146,7 @@ class MpmcQueue:
                 f"queue {self.name!r} over capacity: "
                 f"{self.size} + {k} > {self.capacity}"
             )
-        # inlined _acquire_push_atomic (hot path: one call per completion)
+        # serialize on the tail counter: the atomic starts once it is free
         stats = self.stats
         free = self._push_atomic_free
         start = now if now > free else free
@@ -197,7 +183,7 @@ class MpmcQueue:
         """
         if max_items <= 0:
             raise ValueError("max_items must be positive")
-        # inlined _acquire_pop_atomic (hot path: one call per worker poll)
+        # serialize on the head counter: the atomic starts once it is free
         stats = self.stats
         free = self._pop_atomic_free
         start = now if now > free else free
