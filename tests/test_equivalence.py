@@ -171,11 +171,16 @@ GOLDEN_DYNAMIC_DIGESTS = {
         "bda5484411e70bd1a18893ffeee75c47c2524147d0f84ac99af9062634deaa9d",
     ("cc-inc", "rmat8", "persist-CTA"):
         "8b5faad2cc911b5a89f76a30cf013e69195e52e7c67e970aeb45d1f936441c4d",
+    # the incremental PageRank kernel on both of its paths: the multi-item
+    # (CTA, fetch 64) and the scalar (warp, fetch 1) callbacks
+    ("pagerank-inc", "rmat8", "persist-CTA"):
+        "cfa076977633209150a30ad8a2ae5fc9a1e7bf966127d446b74f010192175984",
+    ("pagerank-inc", "rmat8", "persist-warp"):
+        "fb29524952556f281014b4a117f9beca86b23f6cdfff9ec89878d2c2526dc988",
 }
 
 
-@pytest.mark.parametrize("app,params", [("bfs-inc", {"source": 0}), ("cc-inc", {})])
-def test_dynamic_replay_digest_matches_golden(app, params):
+def _assert_replay_matches_golden(app, preset, **params):
     from repro.apps.dynamic import replay_app
     from repro.graph.generators import rmat
 
@@ -183,13 +188,22 @@ def test_dynamic_replay_digest_matches_golden(app, params):
     g = g if g.is_symmetric() else g.symmetrize()
     sink = Collector()
     replay_app(
-        app, g, CONFIGS["persist-CTA"], DYNAMIC_EDITS, sink=sink, validate=True,
-        **params,
+        app, g, CONFIGS[preset], DYNAMIC_EDITS, sink=sink, validate=True, **params
     )
-    assert sink.digest() == GOLDEN_DYNAMIC_DIGESTS[(app, "rmat8", "persist-CTA")], (
-        f"{app}/rmat8/persist-CTA: dynamic replay stream diverged "
+    assert sink.digest() == GOLDEN_DYNAMIC_DIGESTS[(app, "rmat8", preset)], (
+        f"{app}/rmat8/{preset}: dynamic replay stream diverged "
         "from its introduction digest"
     )
+
+
+@pytest.mark.parametrize("app,params", [("bfs-inc", {"source": 0}), ("cc-inc", {})])
+def test_dynamic_replay_digest_matches_golden(app, params):
+    _assert_replay_matches_golden(app, "persist-CTA", **params)
+
+
+@pytest.mark.parametrize("preset", ["persist-CTA", "persist-warp"])
+def test_pagerank_inc_replay_digest_matches_golden(preset):
+    _assert_replay_matches_golden("pagerank-inc", preset)
 
 
 # ---------------------------------------------------------------------------
