@@ -51,6 +51,7 @@ from repro.core.engine import (
     _READ,
     ExecutionEngine,
     SchedulerError,
+    _jitter,
     _worker_slots,
 )
 from repro.core.policy import (
@@ -104,9 +105,8 @@ class DeviceEngine(ExecutionEngine):
 
     :class:`DistributedPolicy` sets ``devices``, ``device_of`` (global
     worker id -> its :class:`DeviceState`), ``partition`` and the
-    :class:`DeviceWorklist` queue before the first drain.  The engine's
-    single-queue fast path never applies, so every completion runs
-    through the overrides below.
+    :class:`DeviceWorklist` queue before the first drain, so every
+    completion runs through the overrides below.
     """
 
     devices: list[DeviceState]
@@ -175,9 +175,8 @@ class DeviceEngine(ExecutionEngine):
                 "the application appears not to converge"
             )
         edge_work, max_degree = self.kernel.work_estimate(items)
-        h = (worker * 2654435761 + (seq + 7919) * 40503 + 12345) & 0xFFFF
         finish = d.cost_fn(
-            t_acq, n, edge_work, max_degree, 1.0 + self._dur_jit * (h / 65536.0)
+            t_acq, n, edge_work, max_degree, 1.0 + _jitter(worker, seq + 7919, self._dur_jit)
         )
         # remote-data-access cost: items owned elsewhere (stolen or
         # steal-banked loot) read their adjacency over the owner's link

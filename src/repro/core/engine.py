@@ -25,11 +25,14 @@ surface so that *policies* (:mod:`repro.core.policy`) can compose it:
 
 :meth:`ExecutionEngine.drain_events` is the simulator's only event loop:
 every policy (the multi-device one included) drains the engine's heap
-through it.  Its single-queue, sink-less path is inlined end to end; every
-other configuration goes through the generic steps (:meth:`~ExecutionEngine.push`,
-:meth:`~ExecutionEngine.try_pop`, :meth:`~ExecutionEngine.reissue`), which
+through it.  Every completion goes through the same generic steps
+(:meth:`~ExecutionEngine.push`, :meth:`~ExecutionEngine.reissue`,
+:meth:`~ExecutionEngine.try_pop`), which
 :class:`~repro.core.distributed.DeviceEngine` overrides to route work
-between devices.
+between devices.  A pop runs :meth:`MpmcQueue.pop
+<repro.queueing.mpmc.MpmcQueue.pop>` or the worklist's own ``pop``, and
+every hash-derived delay comes from :func:`_jitter`, whether or not a sink
+is attached: the path a benchmark times is the path the checkers observe.
 
 Everything observable (event order, timestamps, counters) is identical to
 the pre-refactor ``_Engine`` for the persistent and discrete policies;
@@ -141,7 +144,11 @@ def _worker_slots(spec: GpuSpec, config: AtosConfig) -> tuple[int, float]:
 
 
 def _jitter(worker: int, seq: int, amplitude: float) -> float:
-    """Deterministic pseudo-random stagger for persistent-kernel pops."""
+    """Deterministic pseudo-random value in ``[0, amplitude)`` per ``(worker, seq)``.
+
+    The persistent-kernel pop stagger, and (on the stream ``seq + 7919``)
+    the per-task duration jitter.
+    """
     if amplitude <= 0.0:
         return 0.0
     h = (worker * 2654435761 + seq * 40503 + 12345) & 0xFFFF
@@ -224,12 +231,11 @@ class ExecutionEngine:
         )
         self._fetch = config.fetch_size
         self._dur_jit = spec.duration_jitter
-        # single-queue fast path: bound to the lone MpmcQueue's pop/push
-        # by new_queue() when the broker has exactly one physical queue
-        # (the paper's headline setup), skipping the broker dispatch
+        # bound to the lone MpmcQueue's pop/push by new_queue() when the
+        # broker has exactly one physical queue (the paper's headline
+        # setup), skipping the broker dispatch
         self._qpop = None
         self._qpush = None
-        self._singleq = None
 
     # ------------------------------------------------------------------
     def set_mode(self, *, persistent: bool) -> None:
@@ -288,10 +294,6 @@ class ExecutionEngine:
         single = getattr(self.queue, "_single", None)
         self._qpop = single.pop if single is not None else None
         self._qpush = single.push if single is not None else None
-        # try_pop inlines the pop body itself when no sink is attached
-        # (the benchmark/headline path); the bound methods above remain the
-        # fallback whenever observability events must be emitted
-        self._singleq = single if single is not None and single.sink is None else None
         return self.queue
 
     def pop_stagger(self, worker: int, seq: int) -> float:
@@ -304,55 +306,23 @@ class ExecutionEngine:
         Negative hook values are clamped: the event loop cannot schedule
         into the past, and the model only permits *delaying* a pop.
         """
-        perturb = self.perturb
-        if perturb is None:
-            amp = self.jitter_amp
-            if amp <= 0.0:
-                return 0.0
-            h = (worker * 2654435761 + seq * 40503 + 12345) & 0xFFFF
-            return (h / 65536.0) * amp
         jit = _jitter(worker, seq, self.jitter_amp)
-        jit += max(0.0, float(perturb(worker, seq)))
+        perturb = self.perturb
+        if perturb is not None:
+            jit += max(0.0, float(perturb(worker, seq)))
         return jit
 
     def try_pop(self, worker: int, t: float) -> bool:
         """Attempt a pop; on success schedules the task's READ event."""
-        q = self._singleq
-        if q is not None:
-            # Inlined MpmcQueue.pop (single queue, no sink): the pop path
-            # runs once per task plus once per failed poll, and the call
-            # frame plus property hops are measurable at that rate.  Must
-            # mirror mpmc.pop exactly — stats updates included — so the
-            # absorbed counters and RunResult stay bit-identical.
-            stats = q.stats
-            free = q._pop_atomic_free
-            t_start = t if t > free else free
-            stats.contention_wait_ns += t_start - t
-            t_acq = q._pop_atomic_free = t_start + q.atomic_ns
-            head = q._head
-            n = q._tail - head
-            if n > self._fetch:
-                n = self._fetch
-            if n == 0:
-                stats.empty_pops += 1
-                self.idle.append(worker)
-                return False
-            items = q._buf[head : head + n].copy()
-            q._head = head = head + n
-            stats.pops += 1
-            stats.items_popped += n
-            if head == q._tail:
-                q._head = q._tail = 0
+        qpop = self._qpop
+        if qpop is not None:  # single shared queue: home is ignored anyway
+            items, t_acq = qpop(self._fetch, t)
         else:
-            qpop = self._qpop
-            if qpop is not None:  # single shared queue: home is ignored anyway
-                items, t_acq = qpop(self._fetch, t)
-            else:
-                items, t_acq = self.queue.pop(self._fetch, t, home=worker)
-            n = items.size
-            if n == 0:
-                self.idle.append(worker)
-                return False
+            items, t_acq = self.queue.pop(self._fetch, t, home=worker)
+        n = items.size
+        if n == 0:
+            self.idle.append(worker)
+            return False
         seq = self.pop_seq + 1
         self.pop_seq = seq
         self.total_tasks += 1
@@ -365,10 +335,13 @@ class ExecutionEngine:
             )
         edge_work, max_degree = self.kernel.work_estimate(items)
         # deterministic per-task latency jitter (cache misses, scheduling
-        # noise); reuses the pop-stagger hash (inlined) on a different stream
-        h = (worker * 2654435761 + (seq + 7919) * 40503 + 12345) & 0xFFFF
+        # noise): the pop-stagger hash on a different stream
         finish = self._cost_fn(
-            t_acq, int(n), edge_work, max_degree, 1.0 + self._dur_jit * (h / 65536.0)
+            t_acq,
+            int(n),
+            edge_work,
+            max_degree,
+            1.0 + _jitter(worker, seq + 7919, self._dur_jit),
         )
         t_read = finish - self.read_lead_ns
         if t_read < t_acq:
@@ -438,7 +411,6 @@ class ExecutionEngine:
         kernel = self.kernel
         on_read = kernel.on_read
         on_complete = kernel.on_complete
-        work_est = kernel.work_estimate
         trace = self.trace
         tr_times = trace.times.append
         tr_items = trace.items.append
@@ -446,20 +418,11 @@ class ExecutionEngine:
         sink = self.sink
         pending = self.pending_pushes
         idle_append = self.idle.append
-        # mode knobs are stable for the duration of one drain (policies
-        # only call set_mode and new_queue between drains), so the stagger
-        # hash, the cost closure and the single-queue pop all inline
-        perturb = self.perturb
-        amp = self.jitter_amp
-        q = self._singleq
-        if q is not None:
-            qstats = q.stats
-            q_atomic = q.atomic_ns
-        fetch = self._fetch
-        cost_fn = self._cost_fn
-        dur_jit = self._dur_jit
-        read_lead = self.read_lead_ns
-        max_tasks = self.max_tasks
+        reissue = self.reissue
+        pop_stagger = self.pop_stagger
+        # policies only call new_queue between drains, so the queue's bound
+        # push is stable for the whole loop
+        qpush = self._qpush
         while heap:
             t, _, tag, worker, items, x = heappop(heap)
             self.now = t
@@ -500,7 +463,6 @@ class ExecutionEngine:
                 )
             if new_items.size:
                 if push_to_queue:
-                    qpush = self._qpush
                     if qpush is not None:
                         qpush(new_items, t)
                     else:
@@ -512,65 +474,7 @@ class ExecutionEngine:
             if stopped:
                 idle_append(worker)
                 continue
-            pop_seq = self.pop_seq
-            if perturb is None:  # inlined pop_stagger fast path
-                if amp <= 0.0:
-                    tpop = t
-                else:
-                    h = (worker * 2654435761 + pop_seq * 40503 + 12345) & 0xFFFF
-                    tpop = t + (h / 65536.0) * amp
-            else:
-                tpop = t + self.pop_stagger(worker, pop_seq)
-            if q is None:
-                self.reissue(worker, tpop, t, retired, work)
-                continue
-            # inlined try_pop (single queue, no sink): one pop attempt per
-            # completion is the hottest edge in the whole simulator, so the
-            # call chain try_pop -> mpmc.pop collapses into the loop body.
-            # Mirrors both functions exactly, stats included, to keep
-            # RunResult counters bit-identical.
-            free = q._pop_atomic_free
-            t_start = tpop if tpop > free else free
-            qstats.contention_wait_ns += t_start - tpop
-            t_acq = q._pop_atomic_free = t_start + q_atomic
-            head = q._head
-            n = q._tail - head
-            if n > fetch:
-                n = fetch
-            if n == 0:
-                qstats.empty_pops += 1
-                idle_append(worker)
-            else:
-                pitems = q._buf[head : head + n].copy()
-                q._head = head = head + n
-                qstats.pops += 1
-                qstats.items_popped += n
-                if head == q._tail:
-                    q._head = q._tail = 0
-                pop_seq += 1
-                self.pop_seq = pop_seq
-                total = self.total_tasks = self.total_tasks + 1
-                if sink is not None:
-                    sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
-                if total > max_tasks:
-                    raise SchedulerError(
-                        f"run exceeded max_tasks={max_tasks}; "
-                        "the application appears not to converge"
-                    )
-                edge_work, max_degree = work_est(pitems)
-                h = (worker * 2654435761 + (pop_seq + 7919) * 40503 + 12345) & 0xFFFF
-                finish = cost_fn(
-                    t_acq, n, edge_work, max_degree, 1.0 + dur_jit * (h / 65536.0)
-                )
-                t_read = finish - read_lead
-                if t_read < t_acq:
-                    t_read = t_acq
-                s = self.seq
-                heappush(heap, (t_read, s, _READ, worker, pitems, finish))
-                self.seq = s + 1
-                self.in_flight += 1
-            if self.idle:  # inlined wake_idle guard: skip the call when nobody is parked
-                self.wake_idle(t)
+            reissue(worker, t + pop_stagger(worker, self.pop_seq), t, retired, work)
         assert self.in_flight == 0, "event loop drained with tasks in flight"
         return end
 

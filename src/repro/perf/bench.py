@@ -205,8 +205,8 @@ def bench_metrics(
     """Cell-keyed ``MetricsSummary`` docs for the benchmark's metrics cells.
 
     Runs serially through a fresh :class:`~repro.harness.runner.Lab`
-    (never inside the timed region — sink-attached runs take the
-    engine's non-inlined path, which is the point of keeping the
+    (never inside the timed region — emitting and folding the events
+    costs host time of its own, which is the point of keeping the
     telemetry pass separate from the wall measurement).
     """
     from repro.harness.runner import Lab

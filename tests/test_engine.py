@@ -3,8 +3,9 @@
 The golden-digest matrix in ``tests/test_equivalence.py`` pins the event
 stream on the paper cells; this file covers the rest of the loop's
 contract: every engine-level application passes its oracle under full
-checking, the perturb hook reproduces a schedule bit-for-bit, and the
-schedule fuzzer finds no wrong answer or broken invariant.
+checking, the perturb hook reproduces a schedule bit-for-bit, the
+schedule fuzzer finds no wrong answer or broken invariant, and attaching
+a sink changes no simulated result.
 """
 
 from __future__ import annotations
@@ -14,8 +15,28 @@ import pytest
 from repro.apps.common import app_names, get_adapter, run_app
 from repro.check.fuzz import fuzz_app, perturbation
 from repro.core.config import CONFIGS
+from repro.core.policy import policy_for
 from repro.graph.generators import grid_mesh, rmat
 from repro.obs import Collector
+from repro.service.jobs import result_digest
+
+#: every static application that runs on the engine
+ENGINE_APPS = [
+    app
+    for app in app_names()
+    if get_adapter(app).make_kernel is not None and not get_adapter(app).dynamic
+]
+
+#: every engine-level preset, plus the two worklists the presets leave out
+PARITY_CONFIGS = {
+    **{name: c for name, c in CONFIGS.items() if not policy_for(c).app_level},
+    "persist-warp+steal": CONFIGS["persist-warp"].with_overrides(
+        worklist="stealing", name="persist-warp+steal"
+    ),
+    "persist-CTA+4q": CONFIGS["persist-CTA"].with_overrides(
+        num_queues=4, name="persist-CTA+4q"
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +87,22 @@ def test_every_engine_app_passes_oracle(graph, mesh):
 def test_fuzzer_clean(graph):
     report = fuzz_app("bfs", graph, CONFIGS["discrete-CTA"], seeds=4, source=0)
     report.assert_clean()
+
+
+@pytest.mark.parametrize("preset", sorted(PARITY_CONFIGS))
+@pytest.mark.parametrize("app", ENGINE_APPS)
+def test_sink_changes_no_result(graph, app, preset):
+    """A run with a Collector attached and one without agree on everything.
+
+    No code path may depend on whether a sink is attached: the checkers
+    (goldens, ``validate=True``, the fuzzer) all attach one, while the
+    benchmarks run without, so they must be the same run.
+    """
+    config = PARITY_CONFIGS[preset]
+    bare = run_app(app, graph, config)
+    observed = run_app(app, graph, config, sink=Collector())
+    assert observed.elapsed_ns == bare.elapsed_ns
+    assert observed.work_units == bare.work_units
+    assert result_digest(observed) == result_digest(bare)
+    # every scheduler counter, the per-device snapshots and the app's own
+    assert observed.extra == bare.extra
