@@ -190,12 +190,12 @@ class IncrementalCcKernel(AsyncCcKernel):
 class IncrementalPageRankKernel(AsyncPageRankKernel):
     """Push PageRank with signed residues and invariant-restoring rebase.
 
-    The overridden methods are modified copies of the parent's (the
-    parent stays untouched so static digests cannot move): every
-    ``residue > x`` claim/scan becomes its two-sided form.  For a purely
-    static run the behaviours coincide — static residues are never
-    negative — but the dynamic harness digests this class on its own.
+    An edit can withdraw mass, so residues go negative: the parent's
+    claim already propagates any non-zero residue, and its reservation
+    scans compare ``|residue|`` here (:meth:`_magnitude`).
     """
+
+    _magnitude = staticmethod(np.abs)
 
     def __init__(
         self,
@@ -234,88 +234,8 @@ class IncrementalPageRankKernel(AsyncPageRankKernel):
         self.graph = graph
         self.out_deg = graph.out_degrees()
         self._rows_strict = self._check_rows_strict(graph)
-        dirty = np.flatnonzero(np.abs(residue) > self.scan_threshold)
-        self.scan_threshold[dirty] = np.inf
-        self._pending = dirty.astype(np.int64)
-
-    # -- two-sided residue variants of the parent's hot paths ----------
-
-    def on_read(self, items: np.ndarray, t: float):
-        g = self.graph
-        if items.size == 1:
-            v = items.item(0)
-            residue = self.residue
-            res1 = residue.item(v)
-            residue[v] = 0.0
-            self.rank[v] += res1
-            self.scan_threshold[v] = self.epsilon
-            ip = g.indptr
-            start, end = ip.item(v), ip.item(v + 1)
-            deg = end - start
-            if res1 != 0.0 and deg:  # signed: any claimed mass propagates
-                nbrs = g.indices[start:end]
-                return (nbrs, self.lam * res1 / deg, deg)
-            return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), 0)
-        res = self.residue[items].copy()
-        if items.size > 1:
-            order = np.argsort(items, kind="stable")
-            sorted_items = items[order]
-            later_copy = np.concatenate(([False], sorted_items[1:] == sorted_items[:-1]))
-            if later_copy.any():
-                dup_positions = order[later_copy]
-                res[dup_positions] = 0.0
-        self.residue[items] = 0.0
-        np.add.at(self.rank, items, res)
-        self.scan_threshold[items] = self.epsilon
-        active = (res != 0.0) & (self.out_deg[items] > 0)  # signed claim
-        pos, flat, degrees = g.segments(items[active])
-        if flat.size:
-            contrib = (self.lam * res[active] / degrees)[pos]
-            return (g.indices[flat], contrib, flat.size)
-        return (EMPTY_ITEMS, np.empty(0, dtype=np.float64), 0)
-
-    def on_complete(self, items, payload, t):
-        from repro.core.kernel import CompletionResult
-
-        nbrs, contrib, edge_work = payload
-        self.edges_traversed += edge_work
-        residue = self.residue
-        if nbrs.size:
-            if type(contrib) is float and self._rows_strict:
-                residue[nbrs] += contrib
-            else:
-                np.add.at(residue, nbrs, contrib)
-        n = self._n
-        thresh = self.scan_threshold
-        start = self.check_cursor
-        stop = start + self.check_size
-        self.check_cursor = stop % n
-        if stop <= n:
-            # two-sided reservation scan: |residue| against the threshold
-            mask = np.greater(
-                np.abs(residue[start:stop]), thresh[start:stop], out=self._mask_buf
-            )
-            dirty = mask.nonzero()[0]
-            if dirty.size:
-                dirty += start
-                thresh[dirty] = np.inf
-        else:
-            window = self._window(start, n)
-            dirty = window[np.abs(residue[window]) > thresh[window]]
-            thresh[dirty] = np.inf
-        return CompletionResult(
-            new_items=dirty,
-            items_retired=int(items.size),
-            work_units=float(edge_work),
-        )
-
-    def final_check(self, t: float) -> np.ndarray:
-        dirty = np.flatnonzero(np.abs(self.residue) > self.scan_threshold)
-        self.scan_threshold[dirty] = np.inf
-        return dirty.astype(np.int64)
-
-    def generation_check(self, t: float) -> np.ndarray:
-        return self.final_check(t)
+        # the next epoch starts from every vertex the rebase left dirty
+        self._pending = self.final_check(0.0)
 
 
 # ---------------------------------------------------------------------------

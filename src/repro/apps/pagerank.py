@@ -124,6 +124,16 @@ class AsyncPageRankKernel:
         row_start[starts[starts < ind.size]] = True
         return bool(np.all(increasing | row_start[1:]))
 
+    @staticmethod
+    def _magnitude(residue: np.ndarray) -> np.ndarray:
+        """What the reservation scans compare against ``scan_threshold``.
+
+        Static residues are never negative, so the residue itself;
+        the incremental subclass, whose edits can withdraw mass, compares
+        ``|residue|``.
+        """
+        return residue
+
     def initial_items(self) -> np.ndarray:
         return np.arange(self.graph.num_vertices, dtype=np.int64)
 
@@ -154,7 +164,7 @@ class AsyncPageRankKernel:
             ip = g.indptr
             start, end = ip.item(v), ip.item(v + 1)
             deg = end - start
-            if res1 > 0.0 and deg:
+            if res1 != 0.0 and deg:  # any claimed mass propagates
                 nbrs = g.indices[start:end]
                 # scalar contribution: ``np.add.at`` broadcasts it over the
                 # neighbor list exactly as the former np.full array did
@@ -177,7 +187,7 @@ class AsyncPageRankKernel:
         np.add.at(self.rank, items, res)
         self.scan_threshold[items] = self.epsilon
         # only vertices with claimed residue and outgoing edges push
-        active = (res > 0.0) & (self.out_deg[items] > 0)
+        active = (res != 0.0) & (self.out_deg[items] > 0)
         pos, flat, degrees = g.segments(items[active])
         if flat.size:
             contrib = (self.lam * res[active] / degrees)[pos]
@@ -209,7 +219,9 @@ class AsyncPageRankKernel:
             # contiguous window: slice views instead of fancy indexing (the
             # common case — one call per completed task); the mask buffer is
             # exactly check_size wide, the width of every contiguous window
-            mask = np.greater(residue[start:stop], thresh[start:stop], out=self._mask_buf)
+            mask = np.greater(
+                self._magnitude(residue[start:stop]), thresh[start:stop], out=self._mask_buf
+            )
             dirty = mask.nonzero()[0]
             if dirty.size:
                 dirty += start
@@ -221,7 +233,7 @@ class AsyncPageRankKernel:
             # queue would accumulate copies (and the exchange would double
             # residue mass).  _window dedups and sorts analytically.
             window = self._window(start, n)
-            dirty = window[residue[window] > thresh[window]]
+            dirty = window[self._magnitude(residue[window]) > thresh[window]]
             thresh[dirty] = np.inf
         return CompletionResult(
             new_items=dirty,
@@ -268,7 +280,7 @@ class AsyncPageRankKernel:
 
     def final_check(self, t: float) -> np.ndarray:
         """Quiescence rescan: the whole residue array, once."""
-        dirty = np.flatnonzero(self.residue > self.scan_threshold)
+        dirty = np.flatnonzero(self._magnitude(self.residue) > self.scan_threshold)
         self.scan_threshold[dirty] = np.inf
         return dirty.astype(np.int64)
 
