@@ -24,6 +24,12 @@ Error responses are uniformly shaped: a JSON object with ``error``
 piped-through payloads stay self-describing); 405s additionally carry
 ``allowed`` so clients can self-correct the method.
 
+A request the server cannot read is a 4xx, never a 500: 400 for a
+malformed request line, a bad ``Content-Length`` or a body that ends
+early, 413 for a body over ``_MAX_BODY``, 431 for a request or header
+line over ``_MAX_LINE`` and 408 when the whole request has not arrived
+within ``_READ_DEADLINE_S`` of the connection being accepted.
+
 Deliberately hand-rolled over ``asyncio.start_server``: the container
 has no aiohttp, and the protocol surface (request line, headers,
 Content-Length body) is small enough that a framework would be the
@@ -44,13 +50,19 @@ from repro.service.jobs import JobSpecError
 __all__ = ["ServiceServer", "serve"]
 
 _MAX_BODY = 1 << 20  # 1 MiB of job JSON is three orders past any real spec
+_MAX_LINE = 1 << 16  # per request/header line (asyncio's default reader limit)
+#: one deadline for the request line, headers and body together, so a
+#: stalled or slow-drip client cannot hold a connection open forever
+_READ_DEADLINE_S = 10.0
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -75,6 +87,56 @@ def _error(status: int, message: str, **extra) -> tuple[int, dict]:
     return status, {"error": message, "status": status, **extra}
 
 
+class _Unreadable(Exception):
+    """A request that cannot be read; carries the 4xx status to answer."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        line = await reader.readline()
+    except ValueError:  # StreamReader's limit overrun
+        raise _Unreadable(
+            431, f"request line or header field over {_MAX_LINE} bytes"
+        ) from None
+    return line.decode("latin-1").strip()
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, str, bytes]:
+    """Read one request: ``(method, path, query, body)``."""
+    request_line = await _read_line(reader)
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise _Unreadable(400, f"malformed request line: {request_line!r}")
+    method, target, _version = parts
+    path, _, query = target.partition("?")
+    headers: dict[str, str] = {}
+    while True:
+        line = await _read_line(reader)
+        if not line:
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _Unreadable(400, f"bad Content-Length: {raw_length!r}")
+    digits = raw_length.lstrip("0") or "0"
+    # width first: int() refuses a string of over 4300 digits
+    if len(digits) > len(str(_MAX_BODY)) or int(digits) > _MAX_BODY:
+        raise _Unreadable(413, f"body too large (over {_MAX_BODY} bytes)")
+    length = int(digits)
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise _Unreadable(
+            400, f"body ended after {len(exc.partial)} of {length} bytes"
+        ) from None
+    return method, path, query, body
+
+
 class ServiceServer:
     """One broker behind one listening socket."""
 
@@ -92,7 +154,7 @@ class ServiceServer:
         """
         await self.broker.start()
         self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=self.port
+            self._handle, host=self.host, port=self.port, limit=_MAX_LINE
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
@@ -114,12 +176,22 @@ class ServiceServer:
 
     # ------------------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # one deadline on all reading from the connection: a timer that
+        # fails the pending read (asyncio.wait_for would add a task per
+        # request)
+        deadline = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, reader.set_exception, TimeoutError()
+        )
         ctype = None
+        unread = False
         try:
-            answer = await self._respond(reader)
+            answer = await self._respond(reader, deadline)
             status, payload = answer[0], answer[1]
             if len(answer) == 3:
                 ctype = answer[2]
+        except _Unreadable as exc:
+            unread = True
+            status, payload = _error(exc.status, str(exc))
         except Exception as exc:  # defensive: a handler bug must not kill the server
             status, payload = _error(500, f"{type(exc).__name__}: {exc}")
         body = json.dumps(payload).encode() if isinstance(payload, dict) else payload
@@ -136,34 +208,27 @@ class ServiceServer:
         try:
             writer.write(head.encode() + body)
             await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass  # client hung up mid-response; nothing to salvage
+            if unread:
+                # drop the rest of the refused request before closing: a
+                # close with unread input resets the connection, and the
+                # reset can overtake the answer
+                writer.write_eof()
+                while await reader.read(_MAX_LINE):
+                    pass
+        except (ConnectionError, BrokenPipeError, TimeoutError):
+            pass  # client hung up mid-response, or the deadline passed
         finally:
+            deadline.cancel()
             writer.close()
 
-    async def _respond(self, reader: asyncio.StreamReader):
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        parts = request_line.split()
-        if len(parts) != 3:
-            return _error(400, f"malformed request line: {request_line!r}")
-        method, target, _version = parts
-        path, _, query = target.partition("?")
-        headers: dict[str, str] = {}
-        while True:
-            line = (await reader.readline()).decode("latin-1").strip()
-            if not line:
-                break
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "0") or "0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            return _error(400, f"bad Content-Length: {raw_length!r}")
-        digits = raw_length.lstrip("0") or "0"
-        # width first: int() refuses a string of over 4300 digits
-        if len(digits) > len(str(_MAX_BODY)) or int(digits) > _MAX_BODY:
-            return _error(413, f"body too large (over {_MAX_BODY} bytes)")
-        length = int(digits)
-        body = await reader.readexactly(length) if length else b""
+    async def _respond(self, reader: asyncio.StreamReader, deadline: asyncio.TimerHandle):
+        try:
+            method, path, query, body = await _read_request(reader)
+        except TimeoutError:
+            raise _Unreadable(
+                408, f"request not complete within {_READ_DEADLINE_S:g} s"
+            ) from None
+        deadline.cancel()  # the whole request is in
 
         allowed = _ROUTE_METHODS.get(path)
         if allowed is None and path.startswith("/v1/traces/"):

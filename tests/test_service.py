@@ -38,6 +38,7 @@ from repro.service import (
     spec_from_dict,
 )
 from repro.service.broker import COUNTERS, OUTCOMES
+from repro.service import http
 from repro.service.http import ServiceServer
 from repro.service.jobs import validate_spec
 
@@ -643,6 +644,59 @@ class TestHttp:
         got_status, doc = self._post_with_length(value)
         assert got_status == status
         assert fragment in doc["error"]
+
+    @staticmethod
+    def _exchange(data: bytes, *, eof: bool = False) -> tuple[bytes, dict]:
+        """Send raw ``data`` (then half-close if ``eof``); the status and JSON body."""
+        async def main():
+            async with ServiceServer(Broker(BrokerConfig(workers=1)), port=0) as srv:
+                reader, writer = await asyncio.open_connection("127.0.0.1", srv.port)
+                writer.write(data)
+                if eof:
+                    writer.write_eof()
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(), timeout=5)
+                writer.close()
+                return raw
+
+        head, _, body = _run(main()).partition(b"\r\n\r\n")
+        return head.split(None, 2)[1], json.loads(body)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{}",
+        ],
+        ids=["silent", "unfinished-head", "short-body"],
+    )
+    def test_stalled_request_is_408(self, monkeypatch, data):
+        """A client that stops sending mid-request cannot hold the connection."""
+        monkeypatch.setattr(http, "_READ_DEADLINE_S", 0.2)
+        status, doc = self._exchange(data)
+        assert status == b"408"
+        assert doc == {"error": "request not complete within 0.2 s", "status": 408}
+
+    def test_body_ending_early_is_400(self):
+        status, doc = self._exchange(
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{}", eof=True
+        )
+        assert status == b"400"
+        assert doc["error"] == "body ended after 2 of 4 bytes"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 200_000 + b"\r\n\r\n",
+            b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["header-field", "request-line"],
+    )
+    def test_overlong_line_is_431(self, data):
+        status, doc = self._exchange(data)
+        assert status == b"431"
+        assert "over 65536 bytes" in doc["error"]
 
     def test_queue_full_maps_to_429(self):
         async def main():
