@@ -46,14 +46,7 @@ from heapq import heappush
 
 import numpy as np
 
-from repro.core.engine import (
-    _ARRIVE,
-    _READ,
-    ExecutionEngine,
-    SchedulerError,
-    _jitter,
-    _worker_slots,
-)
+from repro.core.engine import _ARRIVE, ExecutionEngine, SchedulerError, _worker_slots
 from repro.core.policy import (
     ExecutionPolicy,
     PolicyOutcome,
@@ -61,7 +54,7 @@ from repro.core.policy import (
 )
 from repro.core.config import KernelStrategy
 from repro.graph.partition import Partition, partition_graph, resolve_partition_choice
-from repro.obs.events import KernelLaunch, TaskPop
+from repro.obs.events import KernelLaunch
 from repro.queueing.device import DeviceWorklist
 from repro.sim.cost import make_cost_fn
 from repro.sim.memory import BandwidthServer
@@ -158,46 +151,29 @@ class DeviceEngine(ExecutionEngine):
         wl = self.queue
         allow = force_steal or d.idle_streak >= self.config.steal_idle_threshold
         items, t_acq = wl.pop(self._fetch, t, home=d.index, allow_steal=allow)
-        n = int(items.size)
-        if n == 0:
+        if items.size == 0:
             d.idle_streak += 1
             d.idle.append(worker)
             return False
         d.idle_streak = 0
-        seq = self.pop_seq + 1
-        self.pop_seq = seq
-        self.total_tasks += 1
-        if self.sink is not None:
-            self.sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
-        if self.total_tasks > self.max_tasks:
-            raise SchedulerError(
-                f"run exceeded max_tasks={self.max_tasks}; "
-                "the application appears not to converge"
-            )
-        edge_work, max_degree = self.kernel.work_estimate(items)
-        finish = d.cost_fn(
-            t_acq, n, edge_work, max_degree, 1.0 + _jitter(worker, seq + 7919, self._dur_jit)
-        )
-        # remote-data-access cost: items owned elsewhere (stolen or
-        # steal-banked loot) read their adjacency over the owner's link
+        self.issue(worker, items, t_acq, d.cost_fn, d)
+        return True
+
+    def remote_finish(self, d: DeviceState, items, edge_work, t_acq, finish) -> float:
+        """Charge items owned elsewhere (stolen or steal-banked loot) for
+        reading their adjacency over the owner's link."""
         owners = self.partition.owner_of(items)
         remote = owners != d.index
         if remote.any():
+            n = items.size
             counts = np.bincount(owners[remote], minlength=len(self.devices))
-            latency = wl.interconnect.latency_ns
+            latency = self.queue.interconnect.latency_ns
             for o in np.flatnonzero(counts):
                 share = (edge_work + n) * counts[o] / n
-                link_end = wl.reserve_link(int(o), d.index, share, t_acq)
+                link_end = self.queue.reserve_link(int(o), d.index, share, t_acq)
                 if link_end + latency > finish:
                     finish = link_end + latency
-        t_read = finish - self.read_lead_ns
-        if t_read < t_acq:
-            t_read = t_acq
-        s = self.seq
-        heappush(self.heap, (t_read, s, _READ, worker, items, finish))
-        self.seq = s + 1
-        self.in_flight += 1
-        return True
+        return finish
 
     def wake_device(self, d: DeviceState, t: float) -> None:
         """Hand a device's queued items to its parked workers."""

@@ -29,7 +29,8 @@ through it.  Every completion goes through the same generic steps
 (:meth:`~ExecutionEngine.push`, :meth:`~ExecutionEngine.reissue`,
 :meth:`~ExecutionEngine.try_pop`), which
 :class:`~repro.core.distributed.DeviceEngine` overrides to route work
-between devices.  A pop runs :meth:`MpmcQueue.pop
+between devices; every successful pop, on one device or many, ends in
+the one task-issue tail :meth:`~ExecutionEngine.issue`.  A pop runs :meth:`MpmcQueue.pop
 <repro.queueing.mpmc.MpmcQueue.pop>` or the worklist's own ``pop``, and
 every hash-derived delay comes from :func:`_jitter`, whether or not a sink
 is attached: the path a benchmark times is the path the checkers observe.
@@ -319,15 +320,28 @@ class ExecutionEngine:
             items, t_acq = qpop(self._fetch, t)
         else:
             items, t_acq = self.queue.pop(self._fetch, t, home=worker)
-        n = items.size
-        if n == 0:
+        if items.size == 0:
             self.idle.append(worker)
             return False
+        self.issue(worker, items, t_acq, self._cost_fn)
+        return True
+
+    def issue(
+        self, worker: int, items: np.ndarray, t_acq: float, cost_fn, device=None
+    ) -> None:
+        """Issue a popped task: count it, cost it and schedule its READ.
+
+        The tail every successful pop runs, single- or multi-device:
+        ``cost_fn`` is the popping device's cost closure, and ``device``
+        (multi-device runs only) lets :meth:`remote_finish` charge items
+        owned by another device for reading over its link.
+        """
+        n = int(items.size)
         seq = self.pop_seq + 1
         self.pop_seq = seq
         self.total_tasks += 1
         if self.sink is not None:
-            self.sink.emit(TaskPop(t=t_acq, worker=worker, items=int(n)))
+            self.sink.emit(TaskPop(t=t_acq, worker=worker, items=n))
         if self.total_tasks > self.max_tasks:
             raise SchedulerError(
                 f"run exceeded max_tasks={self.max_tasks}; "
@@ -336,13 +350,11 @@ class ExecutionEngine:
         edge_work, max_degree = self.kernel.work_estimate(items)
         # deterministic per-task latency jitter (cache misses, scheduling
         # noise): the pop-stagger hash on a different stream
-        finish = self._cost_fn(
-            t_acq,
-            int(n),
-            edge_work,
-            max_degree,
-            1.0 + _jitter(worker, seq + 7919, self._dur_jit),
+        finish = cost_fn(
+            t_acq, n, edge_work, max_degree, 1.0 + _jitter(worker, seq + 7919, self._dur_jit)
         )
+        if device is not None:
+            finish = self.remote_finish(device, items, edge_work, t_acq, finish)
         t_read = finish - self.read_lead_ns
         if t_read < t_acq:
             t_read = t_acq
@@ -352,7 +364,14 @@ class ExecutionEngine:
         heappush(self.heap, (t_read, s, _READ, worker, items, finish))
         self.seq = s + 1
         self.in_flight += 1
-        return True
+
+    def remote_finish(self, device, items, edge_work, t_acq, finish) -> float:
+        """A task's finish time once remote items have read their adjacency.
+
+        Single-device runs own every item, so the cost model's ``finish``
+        stands; :class:`~repro.core.distributed.DeviceEngine` overrides it.
+        """
+        return finish
 
     def push(self, worker: int, items: np.ndarray, t: float) -> None:
         """Generic push step: a completion's follow-on work enters the worklist."""
