@@ -40,6 +40,12 @@ The ``trace`` subcommand runs one (app, dataset, config) cell with a
 JSON file (load it at ``chrome://tracing`` or https://ui.perfetto.dev),
 and prints the ASCII time-sink profile.  Traces are deterministic: the
 same invocation always produces a byte-identical file.
+
+``run``, ``trace``, ``metrics``, ``dash --app`` and ``check`` name their
+cells the same way (:func:`_spec_from_args`) and run them through
+:func:`repro.service.jobs.execute_spec`, so a trace or a metrics summary
+observes the run the tables and the service compute.  A bad app,
+dataset or config is refused with one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -51,8 +57,70 @@ from repro.harness.experiments import EXPERIMENTS, SCALE_FREE
 from repro.harness.runner import Lab
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every refusal is one stderr line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _spec_from_args(parser: argparse.ArgumentParser, args, config: str):
+    """The validated :class:`~repro.service.jobs.RunSpec` a command's flags name.
+
+    The one place ``run``, ``trace``, ``metrics``, ``check`` and ``dash
+    --app`` turn argv into a cell: ``config`` resolves case-insensitively,
+    a dynamic app without ``--edits`` replays :data:`DEFAULT_EDITS`, flags
+    a command lacks keep the RunSpec defaults, and a
+    :func:`~repro.service.jobs.validate_spec` error is a ``parser.error``.
+    """
+    from repro.apps.common import APP_REGISTRY
+    from repro.core.config import variant_by_name
+    from repro.service.jobs import JobSpecError, RunSpec, validate_spec
+
+    try:
+        config = variant_by_name(config).name
+    except KeyError:
+        pass  # validate_spec names the unknown config
+    edits = getattr(args, "edits", None)
+    if edits is None and args.app in APP_REGISTRY and APP_REGISTRY[args.app].dynamic:
+        edits = DEFAULT_EDITS
+    spec = RunSpec(
+        args.app, args.dataset, config, size=args.size, edits=edits,
+        devices=getattr(args, "devices", None),
+        partition=getattr(args, "partition", None),
+        permuted=getattr(args, "permuted", False),
+    )
+    try:
+        validate_spec(spec)
+    except JobSpecError as exc:
+        parser.error(str(exc))
+    return spec
+
+
+def _observed_spec(parser: argparse.ArgumentParser, args):
+    """The cell ``trace``, ``metrics`` and ``dash --app`` run with a sink attached.
+
+    It must emit one engine event stream: a dynamic app's replay restarts
+    the clock every epoch, and an application-level config emits nothing.
+    """
+    from repro.core.policy import policy_for
+
+    spec = _spec_from_args(parser, args, args.config)
+    if spec.edits is not None:
+        parser.error(
+            f"{spec.app!r} is a dynamic app whose edit replay restarts the clock "
+            "every epoch; run it with 'repro run' or 'repro check'"
+        )
+    if policy_for(spec.atos_config()).app_level:
+        parser.error(
+            f"config {spec.impl!r} runs at application level and emits no "
+            "engine events; pick an engine-level config"
+        )
+    return spec
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro",
         description="Regenerate the Atos paper's tables and figures.",
     )
@@ -72,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_trace_parser() -> argparse.ArgumentParser:
     from repro.apps.common import app_names
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro trace",
         description=(
             "Run one scheduler configuration with observability attached; "
@@ -92,21 +160,19 @@ def _build_trace_parser() -> argparse.ArgumentParser:
 
 
 def _run_trace(argv: list[str]) -> int:
-    from repro.core.config import variant_by_name
-    from repro.graph.datasets import resolve_dataset
     from repro.obs import Collector, flat_metrics, format_profile, write_chrome_trace
+    from repro.service.jobs import execute_spec
 
-    args = _build_trace_parser().parse_args(argv)
-    config = variant_by_name(args.config)
-    dataset = resolve_dataset(args.dataset)
+    parser = _build_trace_parser()
+    args = parser.parse_args(argv)
+    spec = _observed_spec(parser, args)
     sink = Collector()
-    lab = Lab(size=args.size)
-    result = lab.run_config(args.app, dataset, config, sink=sink)
+    result = execute_spec(spec, sink=sink)
     write_chrome_trace(sink, args.out)
 
     print(
-        f"traced {args.app} on {dataset} [{config.name}] "
-        f"size={args.size}: {len(sink.events)} events -> {args.out}"
+        f"traced {spec.app} on {spec.dataset} [{spec.impl}] "
+        f"size={spec.size}: {len(sink.events)} events -> {args.out}"
     )
     print(f"digest: {sink.digest()}")
     metrics = flat_metrics(sink, elapsed_ns=result.elapsed_ns)
@@ -122,7 +188,7 @@ def _run_trace(argv: list[str]) -> int:
             sink,
             elapsed_ns=result.elapsed_ns,
             worker_slots=result.extra.get("worker_slots"),
-            config_name=config.name,
+            config_name=spec.impl,
         )
     )
     return 0
@@ -157,7 +223,7 @@ def _add_device_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_run_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro run",
         description="Run one (app, dataset, config) cell and print a summary.",
     )
@@ -191,14 +257,8 @@ def _build_run_parser() -> argparse.ArgumentParser:
 
 def _run_run(argv: list[str]) -> int:
     from repro.apps.common import APP_REGISTRY, app_names
-    from repro.core.config import CONFIGS, variant_by_name
-    from repro.service.jobs import (
-        JobSpecError,
-        RunSpec,
-        execute_spec,
-        result_digest,
-        validate_spec,
-    )
+    from repro.core.config import CONFIGS
+    from repro.service.jobs import execute_spec, result_digest
 
     parser = _build_run_parser()
     args = parser.parse_args(argv)
@@ -234,20 +294,9 @@ def _run_run(argv: list[str]) -> int:
         return 0
     if not args.app or not args.dataset:
         parser.error("app and dataset are required (or use --list-*)")
-    edits = args.edits
-    if edits is None and args.app in APP_REGISTRY and APP_REGISTRY[args.app].dynamic:
-        edits = DEFAULT_EDITS
-    spec = RunSpec(
-        args.app, args.dataset, variant_by_name(args.config).name, size=args.size,
-        edits=edits, devices=args.devices, partition=args.partition,
-        permuted=args.permuted,
-    )
-    try:
-        validate_spec(spec)
-    except JobSpecError as exc:
-        parser.error(str(exc))
+    spec = _spec_from_args(parser, args, args.config)
     # replays check every epoch against the from-scratch oracle
-    result = execute_spec(spec, validate=edits is not None)
+    result = execute_spec(spec, validate=spec.edits is not None)
 
     print(spec.describe())
     print(f"  elapsed          {result.elapsed_ms:.3f} ms")
@@ -278,7 +327,7 @@ DEFAULT_EDITS = "3x32@7"
 def _build_check_parser() -> argparse.ArgumentParser:
     from repro.check.oracles import oracle_names
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro check",
         description=(
             "Validate one app x dataset cell: run under each named config, "
@@ -317,111 +366,55 @@ def _build_check_parser() -> argparse.ArgumentParser:
 
 
 def _run_check(argv: list[str]) -> int:
-    from repro.apps.common import get_adapter, run_app
+    from repro.apps.common import get_adapter
     from repro.check.fuzz import fuzz_app
-    from repro.check.invariants import InvariantMonitor
     from repro.check.oracles import validate
-    from repro.core.config import CONFIGS, variant_by_name
+    from repro.core.config import CONFIGS
     from repro.core.policy import policy_for
-    from repro.sim.spec import V100_SPEC
+    from repro.service.jobs import execute_spec
 
-    from repro.graph.datasets import load_dataset
-
-    args = _build_check_parser().parse_args(argv)
-    graph = load_dataset(args.dataset, args.size)
-    adapter = get_adapter(args.app)
-    if args.edits is not None and not adapter.dynamic:
-        _build_check_parser().error(
-            f"--edits needs a dynamic app (bfs-inc, cc-inc, pagerank-inc); "
-            f"{args.app!r} is static"
-        )
-    bsp_only = adapter.make_kernel is None
+    parser = _build_check_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        configs = [variant_by_name(name) for name in args.config]
-    elif bsp_only:
-        configs = [CONFIGS["BSP"]]
+        names = args.config
+    elif get_adapter(args.app).make_kernel is None:
+        names = ["BSP"]
     else:
-        configs = [
-            cfg for cfg in CONFIGS.values() if not policy_for(cfg).app_level
-        ]
-    configs = [cfg.on_devices(args.devices, args.partition) for cfg in configs]
-    if adapter.dynamic:
-        return _check_replay(args, graph, configs)
+        names = [name for name, cfg in CONFIGS.items() if not policy_for(cfg).app_level]
+    specs = [_spec_from_args(parser, args, name) for name in names]
+    graph = specs[0].graph()
+    edits = specs[0].edits
+    # a replay checks every epoch against the from-scratch oracle on that
+    # epoch's snapshot: the differential check
+    label = "oracle+invariants" if edits is None else "differential+invariants"
+    print(
+        f"check {args.app} on {graph.name} ({graph.num_vertices} vertices)"
+        + ("" if edits is None else f" edits={edits}")
+    )
     failures = 0
-
-    print(f"check {args.app} on {graph.name} ({graph.num_vertices} vertices)")
-    for config in configs:
+    engine = []
+    for spec in specs:
+        config = spec.atos_config()
         if policy_for(config).app_level:
-            result = run_app(args.app, graph, config, spec=V100_SPEC)
-            report = validate(args.app, graph, result)
+            report = validate(spec.app, graph, execute_spec(spec))
             bad = [str(c) for c in report.failures]
         else:
-            monitor = InvariantMonitor()
-            result = run_app(args.app, graph, config, spec=V100_SPEC, sink=monitor)
-            monitor.reconcile(result)
-            report = validate(args.app, graph, result)
-            bad = [str(v) for v in monitor.violations] + [str(c) for c in report.failures]
+            # seed 0 at amplitude 0 is the unperturbed schedule, with the
+            # fuzzer's invariant monitor and oracle attached
+            engine.append(config)
+            [run] = fuzz_app(
+                spec.app, graph, config, edits=edits, seeds=[0], amplitude_ns=0.0
+            ).runs
+            bad = [str(v) for v in run.violations] + [str(c) for c in run.oracle.failures]
         status = "PASS" if not bad else "FAIL (" + "; ".join(bad[:4]) + ")"
         if bad:
             failures += 1
-        print(f"  {config.name:14s} oracle+invariants {status}")
+        print(f"  {spec.impl:14s} {label} {status}")
 
-    fuzz_configs = [c for c in configs if not policy_for(c).app_level]
-    for config in fuzz_configs[:2]:  # fuzz the first two engine configs requested
+    for config in engine[:2]:  # fuzz the first two engine configs requested
         report = fuzz_app(
-            args.app,
-            graph,
-            config,
-            seeds=args.seeds,
-            amplitude_ns=args.amplitude,
-            spec=V100_SPEC,
-        )
-        if not report.ok:
-            failures += 1
-        print(report.summary())
-    if failures:
-        print(f"check FAILED: {failures} failing cell(s)")
-        return 1
-    print("check PASSED")
-    return 0
-
-
-def _check_replay(args, graph, configs) -> int:
-    """``repro check`` for dynamic apps: the differential edit-replay.
-
-    Per engine config, one unperturbed replay (seed 0, amplitude 0 —
-    the fuzzer machinery with zero delay *is* the plain replay) checks
-    every epoch's output against the from-scratch oracle on that epoch's
-    snapshot with a cross-epoch invariant monitor attached; then the
-    first two configs get the full schedule-perturbation fuzz.
-    """
-    from repro.check.fuzz import fuzz_dynamic
-    from repro.core.policy import policy_for
-    from repro.sim.spec import V100_SPEC
-
-    edits = args.edits or DEFAULT_EDITS
-    engine_configs = [c for c in configs if not policy_for(c).app_level]
-    failures = 0
-    print(
-        f"check {args.app} on {graph.name} ({graph.num_vertices} vertices) "
-        f"edits={edits}"
-    )
-    for config in engine_configs:
-        rep = fuzz_dynamic(
-            args.app, graph, config, edits, seeds=[0], amplitude_ns=0.0,
-            spec=V100_SPEC,
-        )
-        run = rep.runs[0]
-        bad = [str(v) for v in run.violations] + [str(c) for c in run.oracle.failures]
-        status = "PASS" if not bad else "FAIL (" + "; ".join(bad[:4]) + ")"
-        if bad:
-            failures += 1
-        print(f"  {config.name:14s} differential+invariants {status}")
-
-    for config in engine_configs[:2]:
-        report = fuzz_dynamic(
-            args.app, graph, config, edits,
-            seeds=args.seeds, amplitude_ns=args.amplitude, spec=V100_SPEC,
+            args.app, graph, config, edits=edits,
+            seeds=args.seeds, amplitude_ns=args.amplitude,
         )
         if not report.ok:
             failures += 1
@@ -434,7 +427,7 @@ def _check_replay(args, graph, configs) -> int:
 
 
 def _build_perf_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro perf",
         description=(
             "Run the wall-clock benchmark scenario (8 apps x engine presets "
@@ -522,7 +515,7 @@ def _run_perf(argv: list[str]) -> int:
 
 
 def _build_metrics_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro metrics",
         description=(
             "Run one (app, dataset, config) cell with the streaming "
@@ -557,9 +550,6 @@ def _build_metrics_parser() -> argparse.ArgumentParser:
 
 
 def _run_metrics(argv: list[str]) -> int:
-    from repro.core.config import variant_by_name
-    from repro.graph.datasets import resolve_dataset
-    from repro.harness.runner import Lab
     from repro.metrics import (
         collect_baseline,
         format_dashboard,
@@ -570,8 +560,10 @@ def _run_metrics(argv: list[str]) -> int:
         validate_summary,
         write_summary,
     )
+    from repro.service.jobs import execute_spec
 
-    args = _build_metrics_parser().parse_args(argv)
+    parser = _build_metrics_parser()
+    args = parser.parse_args(argv)
     if args.write_baseline:
         size = args.size if "--size" in argv else "tiny"
         doc = collect_baseline(size=size)
@@ -585,12 +577,9 @@ def _run_metrics(argv: list[str]) -> int:
         )
         return 0
     if not args.app or not args.dataset:
-        _build_metrics_parser().error("app and dataset are required (or --write-baseline)")
-    config = variant_by_name(args.config)
-    dataset = resolve_dataset(args.dataset)
-    lab = Lab(size=args.size)
-    result = lab.run_config(args.app, dataset, config, metrics=True)
-    summary = result.extra["metrics"]
+        parser.error("app and dataset are required (or --write-baseline)")
+    spec = _observed_spec(parser, args)
+    summary = execute_spec(spec, metrics=True).extra["metrics"]
     problems = validate_summary(summary)
     print(format_dashboard(summary))
     if args.out:
@@ -615,7 +604,7 @@ def _run_metrics(argv: list[str]) -> int:
 
 
 def _build_diff_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro diff",
         description=(
             "Compare two metrics documents (MetricsSummary, cell-keyed "
@@ -681,7 +670,7 @@ def _run_diff(argv: list[str]) -> int:
 
 
 def _build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro serve",
         description=(
             "Run the scheduler-as-a-service broker: an HTTP JSON API over "
@@ -789,7 +778,7 @@ def _run_serve(argv: list[str]) -> int:
 
 
 def _build_submit_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro submit",
         description=(
             "Submit one job to a running repro service and print the result; "
@@ -875,7 +864,7 @@ def _run_submit(argv: list[str]) -> int:
 
 
 def _build_dash_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro dash",
         description=(
             "Write a static dashboard snapshot: capture a running service's "
@@ -910,17 +899,16 @@ def _run_dash(argv: list[str]) -> int:
     if args.app is not None:
         if not args.dataset:
             parser.error("--app needs --dataset (offline mode renders one run)")
-        from repro.core.config import variant_by_name
-        from repro.graph.datasets import resolve_dataset
+        from repro.obs import Collector
+        from repro.service.jobs import execute_spec
 
-        config = variant_by_name(args.config)
-        dataset = resolve_dataset(args.dataset)
-        lab = Lab(size=args.size)
-        result, sink = lab.collect(args.app, dataset, config, metrics=True)
-        snapshot = collector_snapshot(sink, result, config=config.name)
+        spec = _observed_spec(parser, args)
+        sink = Collector()
+        result = execute_spec(spec, sink=sink, metrics=True)
+        snapshot = collector_snapshot(sink, result, config=spec.impl)
         path = write_snapshot(snapshot, args.snapshot)
         print(
-            f"dash: {args.app} on {dataset} [{config.name}] size={args.size}: "
+            f"dash: {spec.app} on {spec.dataset} [{spec.impl}] size={spec.size}: "
             f"{len(sink.events)} events -> {path}"
         )
         return 0
@@ -943,7 +931,7 @@ def _run_dash(argv: list[str]) -> int:
 
 
 def _build_service_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro service-bench",
         description=(
             "Run the service load benchmark (cold misses, then a warm "

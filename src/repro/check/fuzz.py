@@ -24,6 +24,7 @@ fuzzed: BSP runs at application level and never issues pops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.apps.common import AppResult, get_adapter, run_app
@@ -35,7 +36,7 @@ from repro.core.policy import policy_for
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
 
-__all__ = ["perturbation", "FuzzRun", "FuzzReport", "fuzz_app", "fuzz_dynamic"]
+__all__ = ["perturbation", "FuzzRun", "FuzzReport", "fuzz_app"]
 
 #: default pop-delay amplitude: comparable to the persistent-mode jitter
 #: (150 ns) — large enough to reorder racing pops, small enough to stay a
@@ -146,6 +147,7 @@ def fuzz_app(
     graph: Csr,
     config: AtosConfig,
     *,
+    edits: Any = None,
     seeds: int | Iterable[int] = 10,
     amplitude_ns: float = DEFAULT_AMPLITUDE_NS,
     spec: GpuSpec = V100_SPEC,
@@ -159,10 +161,23 @@ def fuzz_app(
     and a seeded :func:`perturbation` hook, reconciles counters against
     the event stream, and validates the output with the app's oracle
     (``validator`` overrides it, for negative tests).  ``seeds`` is a
-    count (``10`` → seeds 0..9) or an explicit iterable.  Returns a
-    :class:`FuzzReport`; it never raises on violations — call
+    count (``10`` → seeds 0..9) or an explicit iterable; seed 0 at
+    ``amplitude_ns=0`` is the unperturbed schedule.
+
+    ``edits`` (an :class:`~repro.graph.delta.EditScript` or spec string)
+    makes each seed replay the whole script through a dynamic app
+    (:func:`repro.apps.dynamic.replay_app`) with one monitor riding the
+    entire stream, so epoch boundaries (quiescence at every
+    :class:`~repro.obs.events.EpochMark`) and replay-summed counter
+    reconciliation are fuzzed alongside the answers.  Every epoch is
+    checked against the oracle on its materialized snapshot, under
+    ``epochN:`` check-name prefixes; one failing epoch fails the seed.
+
+    Returns a :class:`FuzzReport`; it never raises on violations — call
     :meth:`FuzzReport.assert_clean` for the asserting form.
     """
+    from repro.apps.dynamic import replay_app, replay_totals
+
     adapter = get_adapter(app)
     policy = policy_for(config)
     if policy.app_level:
@@ -172,6 +187,8 @@ def fuzz_app(
         )
     if adapter.make_kernel is None:
         raise ValueError(f"app {app!r} is BSP-only and cannot be fuzzed")
+    if edits is not None and not adapter.dynamic:
+        raise ValueError(f"app {app!r} is not dynamic; edits need an incremental app")
     seed_list: Sequence[int] = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     tuned = adapter.tune_config(config) if adapter.tune_config is not None else config
     slots, _ = _worker_slots(spec, tuned)
@@ -185,23 +202,31 @@ def fuzz_app(
     )
     for seed in seed_list:
         monitor = InvariantMonitor(worker_slots=slots)
-        result = run_app(
-            app,
-            graph,
-            config,
-            spec=spec,
-            max_tasks=max_tasks,
-            sink=monitor,
-            perturb=perturbation(seed, amplitude_ns),
-            **params,
+        common = dict(
+            spec=spec, max_tasks=max_tasks, sink=monitor,
+            perturb=perturbation(seed, amplitude_ns), **params,
         )
-        monitor.reconcile(result)
-        oracle_report = check(app, graph, result, **params)
+        if edits is None:
+            result = run_app(app, graph, config, **common)
+            monitor.reconcile(result)
+            oracle_report = check(app, graph, result, **params)
+            elapsed_ns, tasks = result.elapsed_ns, _tasks(result)
+        else:
+            dres = replay_app(app, graph, config, edits, **common)
+            monitor.reconcile(SimpleNamespace(extra=replay_totals(dres.epochs)))
+            oracle_report = ValidationReport(app=app)
+            for epoch in dres.epochs:
+                per_epoch = check(app, epoch.graph, epoch.result, **params)
+                for c in per_epoch.checks:
+                    oracle_report.add(f"epoch{epoch.epoch}:{c.name}", c.ok, c.detail)
+            result = dres.final
+            elapsed_ns = dres.total_elapsed_ns
+            tasks = sum(_tasks(e.result) for e in dres.epochs)
         report.runs.append(
             FuzzRun(
                 seed=seed,
-                elapsed_ns=result.elapsed_ns,
-                total_tasks=int(result.extra.get("total_tasks", result.items_retired)),
+                elapsed_ns=elapsed_ns,
+                total_tasks=tasks,
                 violations=list(monitor.violations),
                 oracle=oracle_report,
                 result=result,
@@ -210,87 +235,5 @@ def fuzz_app(
     return report
 
 
-def fuzz_dynamic(
-    app: str,
-    graph: Csr,
-    config: AtosConfig,
-    edits: Any,
-    *,
-    seeds: int | Iterable[int] = 10,
-    amplitude_ns: float = DEFAULT_AMPLITUDE_NS,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    validator: Callable[..., ValidationReport] | None = None,
-    **params: Any,
-) -> FuzzReport:
-    """Fuzz a dynamic app's whole edit replay across perturbation seeds.
-
-    The multi-epoch counterpart of :func:`fuzz_app`: each seed replays the
-    complete edit script (:func:`repro.apps.dynamic.replay_app`) under one
-    seeded perturbation, with a *single* :class:`InvariantMonitor` riding
-    the entire stream — so epoch boundaries (quiescence at every
-    :class:`~repro.obs.events.EpochMark`) and replay-summed counter
-    reconciliation are fuzzed alongside the per-epoch answers.  Every
-    epoch's output is checked by the differential oracle against that
-    epoch's materialized snapshot; one failing epoch fails the seed.
-
-    ``edits`` is an :class:`~repro.graph.delta.EditScript` or spec string.
-    Returns a :class:`FuzzReport` (one :class:`FuzzRun` per seed, whose
-    ``oracle`` report concatenates the per-epoch checks under
-    ``epochN:`` prefixes); never raises on violations — call
-    :meth:`FuzzReport.assert_clean` for the asserting form.
-    """
-    from repro.apps.dynamic import replay_app, replay_totals
-    from types import SimpleNamespace
-
-    adapter = get_adapter(app)
-    if not adapter.dynamic:
-        raise ValueError(f"app {app!r} is not dynamic; use fuzz_app for static cells")
-    policy = policy_for(config)
-    if policy.app_level:
-        raise ValueError(
-            f"config {config.name!r} runs at application level (no pops to perturb); "
-            "fuzzing requires an engine-level policy"
-        )
-    seed_list: Sequence[int] = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
-    tuned = adapter.tune_config(config) if adapter.tune_config is not None else config
-    slots, _ = _worker_slots(spec, tuned)
-    slots *= max(1, tuned.devices)
-    check = validator if validator is not None else validate
-
-    report = FuzzReport(
-        app=app, dataset=graph.name, config=config.name, amplitude_ns=amplitude_ns
-    )
-    for seed in seed_list:
-        monitor = InvariantMonitor(worker_slots=slots)
-        dres = replay_app(
-            app,
-            graph,
-            config,
-            edits,
-            spec=spec,
-            max_tasks=max_tasks,
-            sink=monitor,
-            perturb=perturbation(seed, amplitude_ns),
-            **params,
-        )
-        monitor.reconcile(SimpleNamespace(extra=replay_totals(dres.epochs)))
-        oracle_report = ValidationReport(app=app)
-        for epoch in dres.epochs:
-            per_epoch = check(app, epoch.graph, epoch.result, **params)
-            for c in per_epoch.checks:
-                oracle_report.add(f"epoch{epoch.epoch}:{c.name}", c.ok, c.detail)
-        report.runs.append(
-            FuzzRun(
-                seed=seed,
-                elapsed_ns=dres.total_elapsed_ns,
-                total_tasks=sum(
-                    int(e.result.extra.get("total_tasks", e.result.items_retired))
-                    for e in dres.epochs
-                ),
-                violations=list(monitor.violations),
-                oracle=oracle_report,
-                result=dres.final,
-            )
-        )
-    return report
+def _tasks(result: AppResult) -> int:
+    return int(result.extra.get("total_tasks", result.items_retired))

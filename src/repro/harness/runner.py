@@ -85,13 +85,6 @@ class Lab:
         application level and emits no engine events to stream."""
         return bool(self.metrics and config and config.strategy is not KernelStrategy.BSP)
 
-    def _stamp_metrics(self, result: AppResult, size: str) -> AppResult:
-        """Fill the size preset into a run's MetricsSummary."""
-        summary = result.extra.get("metrics")
-        if summary is not None:
-            summary["size"] = size
-        return result
-
     # ------------------------------------------------------------------
     def graph(self, dataset: str, *, permuted: bool = False) -> Csr:
         """A dataset stand-in at the Lab's size, optionally id-permuted."""
@@ -108,11 +101,10 @@ class Lab:
 
         spec = self._cell(app, dataset, impl, permuted)
         if spec not in self._results:
-            result = execute_spec(
+            self._results[spec] = execute_spec(
                 spec, gpu=self.spec, max_tasks=self.max_tasks,
                 validate=self.validate, metrics=self._metrics_for(CONFIGS.get(impl)),
             )
-            self._results[spec] = self._stamp_metrics(result, spec.size)
         return self._results[spec]
 
     def run_grid(
@@ -162,66 +154,8 @@ class Lab:
             )))
         for cell, res in done.items():
             if not isinstance(res, CellError):
-                self._results[cell] = self._stamp_metrics(res, cell.size)
+                self._results[cell] = res
         return [self._results.get(cell, done.get(cell)) for cell in cells]
-
-    def run_config(
-        self,
-        app: str,
-        dataset: str,
-        config: AtosConfig,
-        *,
-        permuted: bool = False,
-        sink=None,
-        metrics=None,
-    ) -> AppResult:
-        """Run an arbitrary configuration (design-space sweeps).
-
-        ``sink`` attaches an observability sink (:class:`repro.obs.Collector`)
-        to the run; unlike :meth:`run`, nothing here is memoised, so the
-        sink always observes a fresh execution.  ``metrics`` overrides the
-        Lab-level default (``True``/``False`` or a pre-configured
-        :class:`~repro.metrics.sink.MetricsSink`).
-        """
-        result = run_app(
-            app,
-            self.graph(dataset, permuted=permuted),
-            config.on_devices(self.devices, self.partition),
-            spec=self.spec,
-            max_tasks=self.max_tasks,
-            sink=sink,
-            validate=self.validate,
-            metrics=self._metrics_for(config) if metrics is None else metrics,
-        )
-        return self._stamp_metrics(result, self.size)
-
-    def collect(
-        self,
-        app: str,
-        dataset: str,
-        config: AtosConfig | str,
-        *,
-        permuted: bool = False,
-        metrics=None,
-        trace_id: str | None = None,
-    ):
-        """Run one cell with a fresh :class:`~repro.obs.Collector` attached.
-
-        The observability entry point the ``trace`` and ``dash`` CLI
-        commands (and the service's event-capture mode) share: returns
-        ``(result, collector)`` from a never-memoised execution, so the
-        collector saw every event of exactly this run.  ``trace_id``
-        stamps the collector for correlation with a service trace.
-        """
-        from repro.obs.collector import Collector
-
-        if isinstance(config, str):
-            config = CONFIGS[config]
-        collector = Collector(trace_id=trace_id)
-        result = self.run_config(
-            app, dataset, config, permuted=permuted, sink=collector, metrics=metrics
-        )
-        return result, collector
 
     # ------------------------------------------------------------------
     # Table 1
@@ -411,7 +345,10 @@ class Lab:
         """Runtime (ms) heatmap over worker size x fetch size.
 
         Entries above the "lower triangle" (fetch_size > worker_threads)
-        are NaN — matching the valid region of the paper's Figure 4.
+        are NaN — matching the valid region of the paper's Figure 4.  The
+        grid's configs are not presets, so no
+        :class:`~repro.service.jobs.RunSpec` names them: each point is one
+        unmemoised :func:`~repro.apps.common.run_app`.
         """
         out = np.full((len(worker_sizes), len(fetch_sizes)), np.nan)
         for i, w in enumerate(worker_sizes):
@@ -426,7 +363,10 @@ class Lab:
                     registers_per_thread=56 if persistent else 40,
                     name=f"{'persist' if persistent else 'discrete'}-{w}-{f}",
                 )
-                out[i, j] = self.run_config(app, dataset, config).elapsed_ms
+                out[i, j] = run_app(
+                    app, self.graph(dataset), config.on_devices(self.devices, self.partition),
+                    spec=self.spec, max_tasks=self.max_tasks, validate=self.validate,
+                ).elapsed_ms
         return out
 
     def format_sweep(

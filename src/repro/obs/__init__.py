@@ -12,7 +12,8 @@ through the scheduler, queueing and BSP layers:
 
 Attach a :class:`Collector` via the ``sink=`` argument of
 :func:`repro.core.policy.run_policy` (or ``Atos(sink=...)``,
-``Lab.run_config(..., sink=...)``), or from a shell::
+``execute_spec(RunSpec(...), sink=...)`` from :mod:`repro.service.jobs`),
+or from a shell::
 
     python -m repro trace bfs roadnet_ca_sim --config persist-warp --out trace.json
 """

@@ -6,7 +6,7 @@ scalars, so it can cross the HTTP boundary, be hashed, and be replayed
 serially for verification.  It is the only description of "which run"
 in the repository: the :class:`~repro.harness.runner.Lab` memo key, the
 cell of a parallel sweep (:func:`repro.perf.parallel.run_cells`), the
-service's job and the ``repro run`` command all build one.  Three
+service's job and every CLI command that runs a cell all build one.  Three
 derived quantities make it work:
 
 * :func:`job_key` — the content address: SHA-256 over the *canonical*
@@ -190,7 +190,7 @@ def validate_spec(spec: RunSpec) -> None:
 
     Run by the broker *before* a job is queued, so a bad request is
     rejected synchronously (HTTP 400) instead of burning a worker slot,
-    and by ``repro run`` before it executes.
+    and by every CLI command that runs a named cell before it executes.
     """
     from repro.apps.common import APP_REGISTRY, get_adapter
     from repro.core.policy import policy_for
@@ -222,7 +222,14 @@ def validate_spec(spec: RunSpec) -> None:
                 f"known: {', '.join(PARTITION_CHOICES)}"
             )
     adapter = get_adapter(spec.app)
-    config = CONFIGS[spec.impl]
+    app_level = policy_for(CONFIGS[spec.impl]).app_level
+    if app_level and adapter.bsp is None:
+        raise JobSpecError(
+            f"app {spec.app!r} has no BSP implementation; "
+            f"config {spec.impl!r} runs at application level"
+        )
+    if not app_level and adapter.make_kernel is None:
+        raise JobSpecError(f"app {spec.app!r} is BSP-only; use config 'BSP'")
     if spec.edits is not None and not adapter.dynamic:
         raise JobSpecError(
             f"'edits' needs a dynamic app (bfs-inc, cc-inc, pagerank-inc); "
@@ -230,7 +237,7 @@ def validate_spec(spec: RunSpec) -> None:
         )
     if adapter.dynamic and spec.edits is None:
         raise JobSpecError(f"dynamic app {spec.app!r} needs an 'edits' script")
-    if spec.seed and policy_for(config).app_level:
+    if spec.seed and app_level:
         raise JobSpecError(
             f"seed > 0 perturbs the engine schedule; config {spec.impl!r} "
             "runs at application level (BSP) and has no engine"
@@ -307,12 +314,14 @@ def execute_spec(
     """Run one spec to completion and return its :class:`AppResult`.
 
     The only code that turns a :class:`RunSpec` into a result: the Lab,
-    parallel sweeps, the broker's executor threads and ``repro run`` all
-    call it.  It holds no state — graphs come from the locked
+    parallel sweeps, the broker's executor threads and every CLI command
+    that runs a named cell (``run``, ``trace``, ``metrics``, ``dash
+    --app``, the oracle pass of ``check``) call it.  It holds no state — graphs come from the locked
     process-wide build cache — so callers may memoise on the spec and
     threads may share it.  ``sink``, ``validate`` (answer oracle plus
     invariant monitor) and ``metrics`` (streaming telemetry) only observe
-    the run (see :func:`~repro.apps.common.run_app`); ``gpu`` and
+    the run (see :func:`~repro.apps.common.run_app`; a metrics summary
+    is stamped with ``spec.size``); ``gpu`` and
     ``max_tasks`` are the simulated device and the runaway guard, which
     a :class:`~repro.harness.runner.Lab` sets and the service leaves at
     their defaults.
@@ -326,7 +335,10 @@ def execute_spec(
         perturb=spec.perturbation(), **dict(spec.params),
     )
     if spec.edits is None:
-        return run_app(spec.app, spec.graph(), spec.atos_config(), metrics=metrics, **common)
+        result = run_app(spec.app, spec.graph(), spec.atos_config(), metrics=metrics, **common)
+        if metrics:
+            result.extra["metrics"]["size"] = spec.size
+        return result
     from repro.apps.dynamic import replay_app
 
     dres = replay_app(spec.app, spec.graph(), spec.atos_config(), spec.edits, **common)

@@ -116,9 +116,8 @@ def exposition_docs() -> dict[str, dict]:
     """
     import asyncio
 
-    from repro.core.config import CONFIGS
-    from repro.harness.runner import Lab
     from repro.service import Broker, BrokerConfig, RunSpec
+    from repro.service.jobs import execute_spec
 
     async def service_doc() -> dict:
         async with Broker(BrokerConfig(workers=2)) as broker:
@@ -129,9 +128,9 @@ def exposition_docs() -> dict[str, dict]:
             await broker.submit(spec, tenant='we"ird\\ten\nant')
             return broker.stats()
 
-    lab = Lab(size="tiny")
-    summary = lab.run_config("bfs", "roadNet-CA", CONFIGS["persist-warp"], metrics=True)
-    dist = lab.run_config("bfs", "roadNet-CA", CONFIGS["dist-2"], metrics=True)
+    summary = execute_spec(RunSpec("bfs", "roadNet-CA", "persist-warp", size="tiny"),
+                           metrics=True)
+    dist = execute_spec(RunSpec("bfs", "roadNet-CA", "dist-2", size="tiny"), metrics=True)
     return {
         "service": asyncio.run(service_doc()),
         "dist-2": dist.extra["metrics"],

@@ -41,6 +41,49 @@ class TestCli:
             main(["table1", "--app", "sssp"])
 
 
+# every command that runs a named cell refuses a bad one before running it
+REFUSALS = [
+    (["run", "nope", "rmat8"], "unknown app 'nope'"),
+    (["run", "bfs", "nope"], "unknown dataset 'nope'"),
+    (["run", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
+    (["run", "bfs-inc", "rmat8", "--config", "BSP"], "no BSP implementation"),
+    (["run", "delta-sssp", "rmat8"], "BSP-only"),
+    (["trace", "nope", "rmat8"], "invalid choice: 'nope'"),
+    (["trace", "bfs", "nope"], "unknown dataset 'nope'"),
+    (["trace", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
+    (["trace", "bfs-inc", "rmat8"], "dynamic app"),
+    (["trace", "bfs", "rmat8", "--config", "BSP"], "application level"),
+    (["metrics", "nope", "rmat8"], "unknown app 'nope'"),
+    (["metrics", "bfs", "nope"], "unknown dataset 'nope'"),
+    (["metrics", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
+    (["metrics", "bfs", "rmat8", "--config", "BSP"], "application level"),
+    (["metrics", "cc-inc", "rmat8"], "dynamic app"),
+    (["check", "nope", "rmat8"], "invalid choice: 'nope'"),
+    (["check", "bfs", "nope"], "unknown dataset 'nope'"),
+    (["check", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
+    (["check", "bfs", "rmat8", "--edits", "2x8@1"], "'bfs' is static"),
+    (["check", "bfs-inc", "rmat8", "--config", "BSP"], "no BSP implementation"),
+    (["dash", "--app", "nope", "--dataset", "rmat8"], "unknown app 'nope'"),
+    (["dash", "--app", "bfs", "--dataset", "nope"], "unknown dataset 'nope'"),
+    (["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "nope"],
+     "unknown config 'nope'"),
+    (["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "BSP"], "application level"),
+    (["dash", "--app", "pagerank-inc", "--dataset", "rmat8"], "dynamic app"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_bad_cell_is_a_one_line_refusal(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--size", "tiny"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"python -m repro {argv[0]}: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not list(tmp_path.iterdir()), "a refused command wrote a file"
+
+
 # ---------------------------------------------------------------------------
 # service CLI: repro serve / repro submit / repro service-bench
 # ---------------------------------------------------------------------------

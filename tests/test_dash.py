@@ -528,11 +528,12 @@ class TestSnapshots:
         assert json.loads(payload.replace("<\\/", "</")) == snapshot
 
     def test_collector_snapshot_offline(self, tmp_path):
-        from repro.harness.runner import Lab
+        from repro.obs import Collector
+        from repro.service.jobs import execute_spec
 
-        lab = Lab(size="tiny")
-        result, collector = lab.collect("bfs", "roadNet-CA", "persist-CTA",
-                                        metrics=True, trace_id="cafe")
+        collector = Collector(trace_id="cafe")
+        result = execute_spec(RunSpec("bfs", "roadNet-CA", "persist-CTA", size="tiny"),
+                              sink=collector, metrics=True)
         snapshot = collector_snapshot(collector, result, config="persist-CTA")
         engine = snapshot["engine"]
         assert engine["meta"]["app"] == "bfs"

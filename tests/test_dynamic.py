@@ -16,7 +16,7 @@ Four layers, mirroring the dynamic stack:
    closeness for PageRank.  The matrix runs five seeded scripts across
    three epochs under full checking and pins that one digest over the
    whole replay is reproducible.
-4. **Fuzzer** (:func:`repro.check.fuzz.fuzz_dynamic`) — the differential
+4. **Fuzzer** (:func:`repro.check.fuzz.fuzz_app` with ``edits``) — the differential
    property must survive schedule perturbation, and a lying validator
    must be *able* to fail (the harness detects what it claims to).
 """
@@ -32,7 +32,7 @@ from repro.apps.cc import reference_components
 from repro.apps.common import get_adapter, run_app
 from repro.apps.dynamic import replay_app
 from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, reference_ranks
-from repro.check.fuzz import fuzz_dynamic
+from repro.check.fuzz import fuzz_app
 from repro.check.oracles import ValidationReport, validate
 from repro.core.config import CONFIGS
 from repro.graph.csr import Csr, from_edges
@@ -328,7 +328,7 @@ def test_per_epoch_oracles_registered():
 
 def test_fuzz_dynamic_clean(graph):
     config = CONFIGS["discrete-CTA"]
-    report = fuzz_dynamic("bfs-inc", graph, config, "3x24@7", seeds=3, source=0)
+    report = fuzz_app("bfs-inc", graph, config, edits="3x24@7", seeds=3, source=0)
     report.assert_clean()
     # perturbation shapes the schedule, never the per-epoch check count
     counts = {len(r.oracle.checks) for r in report.runs}
@@ -342,8 +342,8 @@ def test_fuzz_dynamic_detects_a_lying_validator(graph):
         rep.add("always-wrong", False, "planted failure")
         return rep
 
-    report = fuzz_dynamic(
-        "cc-inc", graph, CONFIGS["persist-CTA"], "2x8@1", seeds=2, validator=reject
+    report = fuzz_app(
+        "cc-inc", graph, CONFIGS["persist-CTA"], edits="2x8@1", seeds=2, validator=reject
     )
     assert not report.ok
     assert report.failed_seeds == [0, 1]
@@ -353,7 +353,7 @@ def test_fuzz_dynamic_detects_a_lying_validator(graph):
 
 def test_fuzz_dynamic_rejects_static_app(graph):
     with pytest.raises(ValueError, match="not dynamic"):
-        fuzz_dynamic("pagerank", graph, CONFIGS["persist-CTA"], "2x8@1", seeds=1)
+        fuzz_app("pagerank", graph, CONFIGS["persist-CTA"], edits="2x8@1", seeds=1)
 
 
 def test_validated_replay_matches_oracle_by_hand(graph):

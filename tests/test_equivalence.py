@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.common import run_app
 from repro.core.config import CONFIGS, VARIANTS
 from repro.harness.runner import Lab
 from repro.obs import Collector, PolicySwitch
-from repro.service.jobs import result_digest
+from repro.service.jobs import RunSpec, execute_spec, result_digest
 
 # (app, dataset) cells: one traversal app on a mesh, one data-centric app
 # and one speculative app on scale-free graphs — the three Table 1 app
@@ -137,9 +138,9 @@ def lab() -> Lab:
 
 @pytest.mark.parametrize("app,dataset", CELLS)
 @pytest.mark.parametrize("preset", sorted(VARIANTS))
-def test_digest_matches_pre_refactor(lab, app, dataset, preset):
+def test_digest_matches_pre_refactor(app, dataset, preset):
     sink = Collector()
-    lab.run_config(app, dataset, VARIANTS[preset], sink=sink)
+    execute_spec(RunSpec(app, dataset, preset, size="tiny"), sink=sink)
     assert sink.digest() == GOLDEN_DIGESTS[(app, dataset, preset)], (
         f"{app}/{dataset}/{preset}: simulated behavior diverged "
         "from the pre-refactor scheduler"
@@ -151,7 +152,8 @@ def test_digest_matches_pre_refactor(lab, app, dataset, preset):
 def test_digest_matches_pre_perf_layer(lab, app, dataset, preset):
     """Hybrid-policy and stealing-worklist cells pin the optimized engine."""
     sink = Collector()
-    lab.run_config(app, dataset, PERF_CONFIGS[preset], sink=sink)
+    # the stealing variants are not presets, so no RunSpec names them
+    run_app(app, lab.graph(dataset), PERF_CONFIGS[preset], sink=sink)
     assert sink.digest() == GOLDEN_DIGESTS[(app, dataset, preset)], (
         f"{app}/{dataset}/{preset}: simulated behavior diverged "
         "from the pre-optimization engine"
@@ -340,9 +342,9 @@ GOLDEN_CTA = {
 
 
 @pytest.mark.parametrize("app,dataset,preset", sorted(GOLDEN_CTA))
-def test_cta_worker_cell_matches_golden(lab, app, dataset, preset):
+def test_cta_worker_cell_matches_golden(app, dataset, preset):
     sink = Collector()
-    res = lab.run_config(app, dataset, CONFIGS[preset], sink=sink)
+    res = execute_spec(RunSpec(app, dataset, preset, size="tiny"), sink=sink)
     digest, rdigest = GOLDEN_CTA[(app, dataset, preset)]
     assert sink.digest() == digest, f"{app}/{dataset}/{preset}: event stream diverged"
     assert result_digest(res) == rdigest, f"{app}/{dataset}/{preset}: result diverged"
@@ -404,9 +406,9 @@ def test_hybrid_within_5pct_of_best_pure(lab, app, dataset, permuted, kind):
     )
 
 
-def test_hybrid_emits_policy_switch(lab):
+def test_hybrid_emits_policy_switch():
     sink = Collector()
-    lab.run_config("bfs", "road_usa", CONFIGS["hybrid-CTA"], sink=sink)
+    execute_spec(RunSpec("bfs", "road_usa", "hybrid-CTA", size="tiny"), sink=sink)
     switches = sink.events_of(PolicySwitch)
     assert switches, "hybrid run on a high-diameter mesh never switched policy"
     assert switches[0].policy == "persistent"

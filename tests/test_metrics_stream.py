@@ -21,6 +21,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.apps.common import run_app
 from repro.core.config import CONFIGS
 from repro.harness.runner import Lab
 from repro.metrics import (
@@ -52,10 +53,12 @@ from repro.obs.events import (
     TaskPop,
     TaskRead,
 )
+from repro.service.jobs import RunSpec, execute_spec
 
 STEAL_CTA = CONFIGS["discrete-CTA"].with_overrides(
     worklist="stealing", num_queues=4, name="discrete-CTA+steal"
 )
+BFS_WARP = RunSpec("bfs", "roadNet-CA", "persist-warp", size="tiny")
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,7 @@ def lab() -> Lab:
 
 def _traced(lab, app, dataset, config):
     collector, msink = Collector(), MetricsSink()
-    res = lab.run_config(app, dataset, config, sink=MultiSink(collector, msink))
+    res = run_app(app, lab.graph(dataset), config, sink=MultiSink(collector, msink))
     return res, collector, msink
 
 
@@ -336,15 +339,11 @@ class TestCollectorCrossCheck:
 # ---------------------------------------------------------------------------
 
 class TestBoundedMemory:
-    def test_retained_independent_of_event_count(self, lab):
+    def test_retained_independent_of_event_count(self):
         small = MetricsSink(stride_ns=64.0, max_bins=16)
-        lab.run_config(
-            "bfs", "roadNet-CA", CONFIGS["persist-warp"], metrics=small
-        )
+        execute_spec(BFS_WARP, metrics=small)
         big = MetricsSink(stride_ns=64.0, max_bins=16)
-        Lab(size="small").run_config(
-            "bfs", "roadNet-CA", CONFIGS["persist-warp"], metrics=big
-        )
+        execute_spec(RunSpec("bfs", "roadNet-CA", "persist-warp", size="small"), metrics=big)
         total_bins = sum(len(s) for s in big.series.values())
         assert big.events_seen >= 10 * total_bins, "workload too small to prove the bound"
         # retained state tracks the caps, not the stream length
@@ -352,9 +351,9 @@ class TestBoundedMemory:
         assert big.retained() <= 2 * small.retained()
         assert big.retained() < big.events_seen / 10
 
-    def test_series_never_exceed_bin_cap(self, lab):
+    def test_series_never_exceed_bin_cap(self):
         sink = MetricsSink(stride_ns=1.0, max_bins=8)  # forces many rescales
-        lab.run_config("bfs", "roadNet-CA", CONFIGS["persist-warp"], metrics=sink)
+        execute_spec(BFS_WARP, metrics=sink)
         for name in SERIES_NAMES:
             s = sink.series[name]
             assert len(s) == 8
@@ -367,27 +366,21 @@ class TestBoundedMemory:
 # ---------------------------------------------------------------------------
 
 class TestPassivity:
-    def test_digest_unchanged_with_metrics_attached(self, lab):
+    def test_digest_unchanged_with_metrics_attached(self):
         from tests.test_equivalence import GOLDEN_DIGESTS
 
         alone = Collector()
-        lab.run_config("bfs", "roadNet-CA", CONFIGS["persist-warp"], sink=alone)
+        execute_spec(BFS_WARP, sink=alone)
         fanned = Collector()
-        lab.run_config(
-            "bfs",
-            "roadNet-CA",
-            CONFIGS["persist-warp"],
-            sink=MultiSink(fanned, MetricsSink()),
-        )
+        execute_spec(BFS_WARP, sink=MultiSink(fanned, MetricsSink()))
         golden = GOLDEN_DIGESTS[("bfs", "roadNet-CA", "persist-warp")]
         assert alone.digest() == golden
         assert fanned.digest() == golden
 
-    def test_results_identical_with_and_without_metrics(self, lab):
-        plain = lab.run_config("bfs", "roadNet-CA", CONFIGS["discrete-CTA"])
-        with_metrics = lab.run_config(
-            "bfs", "roadNet-CA", CONFIGS["discrete-CTA"], metrics=True
-        )
+    def test_results_identical_with_and_without_metrics(self):
+        cell = RunSpec("bfs", "roadNet-CA", "discrete-CTA", size="tiny")
+        plain = execute_spec(cell)
+        with_metrics = execute_spec(cell, metrics=True)
         assert plain.elapsed_ns == with_metrics.elapsed_ns
         assert plain.items_retired == with_metrics.items_retired
         assert np.array_equal(plain.output, with_metrics.output)
@@ -424,9 +417,9 @@ class TestSummary:
         assert doc["size"] == "tiny"
         assert doc["app"] == "bfs" and doc["config"] == "persist-warp"
 
-    def test_bsp_policy_rejects_metrics(self, lab):
+    def test_bsp_policy_rejects_metrics(self):
         with pytest.raises(ValueError, match="application level"):
-            lab.run_config("bfs", "roadNet-CA", CONFIGS["BSP"], metrics=True)
+            execute_spec(RunSpec("bfs", "roadNet-CA", "BSP", size="tiny"), metrics=True)
 
     def test_validate_catches_drift(self, summary):
         broken = json.loads(json.dumps(summary))

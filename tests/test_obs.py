@@ -188,9 +188,12 @@ class TestTraceCli:
         assert "digest:" in text
         assert "Profile" in text
 
-    def test_trace_cli_unknown_dataset_raises(self, tmp_path):
-        with pytest.raises(KeyError, match="unknown dataset"):
+    def test_trace_cli_unknown_dataset_raises(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["trace", "bfs", "nosuch", "--out", str(tmp_path / "t.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown dataset 'nosuch'" in err and err.count("\n") == 1
 
 
 class TestMultiSink:

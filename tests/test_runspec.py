@@ -8,6 +8,11 @@ seeded, parameterised, edit-replay, permuted, multi-device — every entry
 point returns the same ``result_digest``.  A field that one path dropped
 (the way edit-replay jobs once dropped ``permuted`` and ``repro run
 --edits`` dropped ``--devices``) shows up as a digest mismatch.
+
+The observed commands (``trace``, ``metrics``, ``dash --app``,
+``check``) must build the spec ``repro run`` builds from the same
+arguments, and a sink attached through ``execute_spec`` must leave the
+digest alone, so a trace is evidence about the cell the tables compute.
 """
 
 from __future__ import annotations
@@ -157,3 +162,87 @@ class TestCanonicalSpec:
         a = RunSpec("pagerank", "roadNet-CA", params={"epsilon": 0.01, "damping": 0.85})
         b = RunSpec("pagerank", "roadNet-CA", params=(("damping", 0.85), ("epsilon", 0.01)))
         assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# The observed CLI commands: one spec builder, one execution path
+# ---------------------------------------------------------------------------
+
+def _specs_of(monkeypatch, argv: list[str]) -> tuple[list, list]:
+    """(specs the command built, specs it handed to execute_spec) for ``argv``."""
+    from repro import __main__ as cli
+    from repro.service import jobs
+
+    built, executed = [], []
+    spec_from_args, run = cli._spec_from_args, jobs.execute_spec
+
+    def build(*args, **kwargs):
+        built.append(spec_from_args(*args, **kwargs))
+        return built[-1]
+
+    def execute(spec, **kwargs):
+        executed.append(spec)
+        return run(spec, **kwargs)
+
+    monkeypatch.setattr(cli, "_spec_from_args", build)
+    monkeypatch.setattr(jobs, "execute_spec", execute)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return built, executed
+
+
+@pytest.mark.parametrize("app,dataset,config", [
+    ("bfs", "roadnet_ca_sim", "persist-warp"),
+    ("pagerank", "soc-LiveJournal1", "hybrid-cta"),  # --config is case-insensitive
+    ("cc", "rmat8", "discrete-CTA"),
+])
+def test_observed_commands_run_the_spec_repro_run_builds(
+    app, dataset, config, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    flags = ["--config", config, "--size", "tiny"]
+    [spec], [ran] = _specs_of(monkeypatch, ["run", app, dataset, *flags])
+    assert ran == spec
+    for argv in (
+        ["trace", app, dataset, *flags],
+        ["metrics", app, dataset, *flags],
+        ["dash", "--app", app, "--dataset", dataset, *flags],
+    ):
+        assert _specs_of(monkeypatch, argv) == ([spec], [spec]), argv[0]
+    built, _ = _specs_of(monkeypatch, ["check", app, dataset, *flags, "--seeds", "1"])
+    assert built == [spec]
+
+
+def test_check_replays_the_spec_repro_run_builds(monkeypatch):
+    argv = ["bfs-inc", "rmat8", "--config", "persist-CTA", "--size", "tiny"]
+    [spec], _ = _specs_of(monkeypatch, ["run", *argv])
+    built, _ = _specs_of(monkeypatch, ["check", *argv, "--seeds", "1"])
+    assert built == [spec] and spec.edits is not None
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=tiny_specs().filter(lambda s: s.impl != "BSP"))
+def test_attached_sinks_leave_the_digest_alone(spec):
+    from repro.check.invariants import InvariantMonitor
+    from repro.metrics import MetricsSink
+    from repro.obs import Collector
+
+    ref = result_digest(execute_spec(spec))
+    observed = {
+        "Collector": execute_spec(spec, sink=Collector()),
+        "InvariantMonitor": execute_spec(spec, sink=InvariantMonitor()),
+        "MetricsSink": execute_spec(spec, metrics=MetricsSink()),
+    }
+    digests = {name: result_digest(res) for name, res in observed.items()}
+    assert digests == dict.fromkeys(digests, ref), spec.describe()
+
+
+@pytest.mark.parametrize("spec,message", [
+    (RunSpec("bfs-inc", "rmat8", "BSP", edits="2x8@1"), "no BSP implementation"),
+    (RunSpec("delta-sssp", "rmat8", "persist-CTA"), "BSP-only"),
+])
+def test_an_app_the_policy_cannot_run_is_refused_before_queueing(spec, message):
+    from repro.service.jobs import JobSpecError
+
+    with pytest.raises(JobSpecError, match=message):
+        validate_spec(spec)
