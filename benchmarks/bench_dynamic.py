@@ -6,7 +6,7 @@ This ladder measures, per edit epoch on R-MAT graphs, three ways to get
 the epoch's answer:
 
 * **incremental** — the ``*-inc`` kernel rebased onto the new snapshot
-  (:func:`repro.apps.dynamic.replay_app`, per-epoch elapsed);
+  (:func:`repro.apps.common.replay_app`, per-epoch elapsed);
 * **recompute** — the static Atos kernel from scratch on the snapshot;
 * **BSP** — the bulk-synchronous baseline from scratch on the snapshot.
 
@@ -20,8 +20,7 @@ the giant component resets (and re-solves) the whole component.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.apps.common import run_app
-from repro.apps.dynamic import replay_app
+from repro.apps.common import replay_app, run_app
 from repro.core.config import CONFIGS
 from repro.graph.generators import rmat
 

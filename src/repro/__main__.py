@@ -53,6 +53,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.graph.datasets import SIZES
 from repro.harness.experiments import EXPERIMENTS, SCALE_FREE
 from repro.harness.runner import Lab
 
@@ -62,6 +63,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _add_size_arg(parser) -> None:
+    """The ``--size`` option every command shares (one of ``SIZES``)."""
+    parser.add_argument("--size", default="small", choices=SIZES)
 
 
 def _spec_from_args(parser: argparse.ArgumentParser, args, config: str):
@@ -133,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--app", default="bfs", choices=["bfs", "pagerank", "coloring"])
     parser.add_argument("--dataset", default="soc-LiveJournal1")
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     return parser
 
 
@@ -155,7 +161,7 @@ def _build_trace_parser() -> argparse.ArgumentParser:
         help="named Atos variant (default: persist-warp)",
     )
     parser.add_argument("--out", default="trace.json", help="output trace path")
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     return parser
 
 
@@ -234,7 +240,7 @@ def _build_run_parser() -> argparse.ArgumentParser:
         default="persist-CTA",
         help="named configuration (default: persist-CTA; see --list-configs)",
     )
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     _add_device_args(parser)
     parser.add_argument(
         "--edits",
@@ -360,7 +366,7 @@ def _build_check_parser() -> argparse.ArgumentParser:
             "pagerank-inc, which run the differential edit-replay check"
         ),
     )
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     _add_device_args(parser)
     return parser
 
@@ -434,7 +440,7 @@ def _build_perf_parser() -> argparse.ArgumentParser:
             "x 2 datasets) and report cells/sec and sim-ns-per-wall-ms."
         ),
     )
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     parser.add_argument("--repeats", type=int, default=3, help="timed repeats (default 3)")
     parser.add_argument(
         "--workers",
@@ -531,7 +537,7 @@ def _build_metrics_parser() -> argparse.ArgumentParser:
         default="persist-warp",
         help="named Atos variant (default: persist-warp)",
     )
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     parser.add_argument("--out", default=None, help="write the MetricsSummary JSON here")
     parser.add_argument("--prom", default=None, help="write Prometheus text exposition here")
     parser.add_argument("--jsonl", default=None, help="write JSONL metric records here")
@@ -790,7 +796,7 @@ def _build_submit_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8321)
     parser.add_argument("--config", default="persist-CTA")
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     parser.add_argument("--seed", type=int, default=0, help="schedule-perturbation seed")
     parser.add_argument("--edits", default=None, metavar="SPEC", help="dynamic edit script")
     _add_device_args(parser)
@@ -887,7 +893,7 @@ def _build_dash_parser() -> argparse.ArgumentParser:
     off.add_argument("--app", default=None, help="application name (enables offline mode)")
     off.add_argument("--dataset", default=None, help="dataset name or alias")
     off.add_argument("--config", default="persist-CTA", help="named Atos variant")
-    off.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(off)
     return parser
 
 
@@ -939,7 +945,7 @@ def _build_service_bench_parser() -> argparse.ArgumentParser:
             "broker) and report latency, throughput and digest-match ratio."
         ),
     )
-    parser.add_argument("--size", default="small", choices=["tiny", "small", "default"])
+    _add_size_arg(parser)
     parser.add_argument("--clients", type=int, default=1000, help="warm-phase clients")
     parser.add_argument("--tenants", type=int, default=8)
     parser.add_argument("--workers", type=int, default=4)

@@ -1,4 +1,4 @@
-"""Shared application plumbing: result record + the app dispatch registry.
+"""Shared application plumbing: result records, the app registry, the run path.
 
 Every application used to carry its own ``run_atos`` glue — construct the
 kernel, call the scheduler, copy a dozen ``RunResult`` fields into an
@@ -7,12 +7,14 @@ copies with one dispatch path:
 
 * an adapter describes how to build the app's task kernel, read its
   artifact/work counters, and (optionally) run its BSP frontier engine;
-* :func:`run_app` resolves the execution policy from the config
+* :func:`replay_app` resolves the execution policy from the config
   (:func:`repro.core.policy.policy_for`), routes app-level policies (BSP)
   to the adapter's frontier function and engine-level policies through
-  :func:`repro.core.policy.run_policy`, and assembles the uniform
-  :class:`AppResult` — including one consistent ``extra`` metrics block
-  for every app.
+  :func:`repro.core.policy.run_policy`, once for epoch 0 and once more
+  per edit batch, and assembles one uniform :class:`AppResult` per epoch
+  — including one consistent ``extra`` metrics block for every app;
+* :func:`run_app` is the static case: a replay with no edit batches,
+  returning its one epoch.
 
 App modules self-register at import time (``register_app`` at module
 bottom); importing :mod:`repro.apps` loads all eight.
@@ -21,6 +23,8 @@ bottom); importing :mod:`repro.apps` loads all eight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -28,6 +32,9 @@ import numpy as np
 from repro.core.config import AtosConfig
 from repro.core.engine import RunResult
 from repro.core.policy import policy_for, run_policy
+from repro.graph.csr import Csr
+from repro.graph.delta import AppliedBatch, EditScript, parse_edits
+from repro.obs.events import EpochMark, MultiSink
 from repro.sim.spec import V100_SPEC, GpuSpec
 from repro.sim.trace import ThroughputTrace
 
@@ -39,6 +46,10 @@ __all__ = [
     "register_app",
     "app_names",
     "get_adapter",
+    "EpochResult",
+    "DynamicAppResult",
+    "replay_totals",
+    "replay_app",
     "run_app",
 ]
 
@@ -101,10 +112,9 @@ class AppAdapter:
     Section 6.3 register/shared-memory figures) before the run.
 
     ``dynamic`` marks incremental (multi-epoch) variants whose kernels
-    implement the ``rebase`` hook (:mod:`repro.apps.dynamic`).  They run
-    through :func:`repro.apps.dynamic.replay_app`, not a single
-    ``run_app`` call, so static enumeration surfaces — the bench matrix,
-    the all-apps oracle sweep — skip them.
+    implement the ``rebase`` hook (:mod:`repro.apps.dynamic`).  Only they
+    take edit batches in :func:`replay_app`, and static enumeration
+    surfaces — the bench matrix, the all-apps oracle sweep — skip them.
     """
 
     name: str
@@ -149,8 +159,103 @@ def get_adapter(app: str) -> AppAdapter:
         raise KeyError(f"unknown app {app!r}; known: {sorted(APP_REGISTRY)}") from None
 
 
-def _base_extra(res: RunResult) -> dict[str, Any]:
-    """The scheduler-level metrics every Atos-policy run reports."""
+# ---------------------------------------------------------------------------
+# The run path: a static run is epoch 0 of a replay with no edit batches
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EpochResult:
+    """One epoch of a run: its snapshot, its edits, its app result.
+
+    ``applied`` is ``None`` for epoch 0 (the base graph, nothing edited);
+    afterwards it holds the *effective* edge changes that produced
+    ``graph``, the epoch's materialized snapshot — what a from-scratch
+    recompute (the differential oracle) runs against.  Each epoch's
+    engine restarts its clock at 0, so ``result.elapsed_ns`` and
+    ``result.work_units`` are per-epoch deltas: epoch > 0 rows expose
+    exactly what the repair cost.  ``result.output`` is the kernel's
+    artifact, copied before a later epoch's ``rebase`` mutates it.
+    """
+
+    epoch: int
+    graph: Csr = field(repr=False)
+    applied: AppliedBatch | None = field(repr=False)
+    result: AppResult = field(repr=False)
+
+
+@dataclass
+class DynamicAppResult:
+    """Every epoch of one run plus run-level totals.
+
+    A static run has one epoch and ``edits`` of ``None``.
+    """
+
+    app: str
+    impl: str
+    dataset: str
+    edits: str | None
+    epochs: list[EpochResult] = field(repr=False)
+
+    @property
+    def total_elapsed_ns(self) -> float:
+        return sum(e.result.elapsed_ns for e in self.epochs)
+
+    @property
+    def total_work_units(self) -> float:
+        return sum(e.result.work_units for e in self.epochs)
+
+    @property
+    def final(self) -> AppResult:
+        return self.epochs[-1].result
+
+
+#: scheduler counters summed over every epoch of a run — the numbers an
+#: InvariantMonitor riding the whole stream accumulates, so reconcile()
+#: cross-checks a replay the way it cross-checks a single epoch
+_SUMMED_COUNTERS = (
+    "total_tasks", "items_retired", "empty_pops", "queue_pushes",
+    "queue_pops", "queue_items_pushed", "queue_items_popped",
+    "queue_items_banked", "steals", "kernel_launches",
+    "policy_switches", "remote_pushes", "remote_items", "remote_steals",
+)
+
+
+def replay_totals(epochs: list[EpochResult]) -> dict[str, int]:
+    """Every counter reconcile() reads, summed over ``epochs``.
+
+    ``worker_slots`` and ``devices`` (multi-device runs only) are fixed
+    for the run and carried as they are, so a one-epoch run's totals are
+    exactly the counters of its result.
+    """
+    totals: dict[str, int] = {}
+    for e in epochs:
+        extra = e.result.extra
+        for key in _SUMMED_COUNTERS:
+            value = extra.get(key, getattr(e.result, key, None))
+            if value is not None:
+                totals[key] = totals.get(key, 0) + int(value)
+    last = epochs[-1].result.extra
+    for key in ("worker_slots", "devices"):
+        if key in last:
+            totals[key] = last[key]
+    return totals
+
+
+def _epoch_result(
+    adapter: AppAdapter,
+    config: AtosConfig,
+    kernel,
+    res: RunResult,
+    graph: Csr,
+    applied: AppliedBatch | None,
+    work_units: float,
+) -> AppResult:
+    """One finished engine epoch as an :class:`AppResult`.
+
+    ``extra`` is the scheduler-level metrics block every engine run
+    reports, the adapter's own extras and, after an edit batch, the
+    batch's effective edge counts.
+    """
     extra = {
         "worker_slots": res.worker_slots,
         "occupancy": res.occupancy_fraction,
@@ -177,7 +282,178 @@ def _base_extra(res: RunResult) -> dict[str, Any]:
         extra["comm_ns"] = res.comm_ns
         if res.device_stats is not None:
             extra["device_stats"] = res.device_stats
-    return extra
+    if adapter.extra is not None:
+        extra.update(adapter.extra(kernel))
+    if applied is not None:
+        extra["edits_inserted"] = int(applied.inserted.shape[0])
+        extra["edits_deleted"] = int(applied.deleted.shape[0])
+    return AppResult(
+        app=adapter.name,
+        impl=config.name,
+        dataset=graph.name,
+        elapsed_ns=res.elapsed_ns,
+        work_units=work_units,
+        items_retired=res.items_retired,
+        iterations=res.generations,
+        kernel_launches=res.kernel_launches,
+        output=adapter.output(kernel),
+        trace=res.trace,
+        extra=extra,
+    )
+
+
+def replay_app(
+    app: str,
+    graph: Csr,
+    config: AtosConfig,
+    edits: EditScript | str | None,
+    *,
+    spec: GpuSpec = V100_SPEC,
+    max_tasks: int = 20_000_000,
+    sink=None,
+    validate: bool = False,
+    metrics=False,
+    perturb=None,
+    **params,
+) -> DynamicAppResult:
+    """Run ``app`` on ``graph``: epoch 0, then one epoch per edit batch.
+
+    The one run path.  ``edits`` is an
+    :class:`~repro.graph.delta.EditScript`, a spec string like
+    ``"3x32@7"`` (:func:`~repro.graph.delta.parse_edits`) or ``None``: a
+    static run is a replay with no edit batches.  Only dynamic adapters,
+    whose kernels implement ``rebase``, take edits.
+
+    App-level policies (BSP) call the adapter's frontier engine.
+    Engine-level policies build one kernel and one sink stack — ``sink``,
+    a :class:`~repro.metrics.sink.MetricsSink` for ``metrics``, an
+    :class:`~repro.check.invariants.InvariantMonitor` for ``validate`` —
+    and run epoch 0 under :func:`~repro.core.policy.run_policy`; each
+    batch then emits an :class:`~repro.obs.events.EpochMark`, rebases the
+    kernel and runs again from the previous fixpoint.  Sinks are passive:
+    any combination leaves simulated results bit-identical.
+
+    A replay folds its totals into the final epoch's ``extra``
+    (``replay_*``); ``metrics`` adds one summary over every epoch there.
+    ``validate=True`` reconciles the monitor against
+    :func:`replay_totals`, then checks every epoch against the app's
+    oracle on its own snapshot (raising ``InvariantViolation`` or
+    ``OracleError``).  ``perturb`` is the engine's pop-stagger hook
+    (:meth:`~repro.core.engine.ExecutionEngine.pop_stagger`); it needs an
+    engine-level policy.
+    """
+    adapter = get_adapter(app)
+    script = None
+    if edits is not None:
+        if not adapter.dynamic:
+            raise ValueError(
+                f"app {app!r} is not dynamic (not a dynamic adapter); edits "
+                "need an incremental kernel: bfs-inc, cc-inc or pagerank-inc"
+            )
+        script = parse_edits(edits, graph) if isinstance(edits, str) else edits
+        if script.graph is not graph:
+            raise ValueError("edit script was generated against a different graph")
+    policy = policy_for(config)
+    metrics_sink = monitor = None
+    if policy.app_level:
+        if adapter.bsp is None:
+            raise ValueError(f"app {app!r} has no BSP implementation")
+        if perturb is not None:
+            raise ValueError(
+                f"policy {policy.name!r} runs at application level; "
+                "perturb requires an engine-level policy"
+            )
+        if metrics:
+            raise ValueError(
+                f"policy {policy.name!r} runs at application level and emits "
+                "no engine events; metrics requires an engine-level policy"
+            )
+        epochs = [EpochResult(0, graph, None, adapter.bsp(graph, spec=spec, **params))]
+    else:
+        if adapter.make_kernel is None:
+            raise ValueError(
+                f"app {app!r} is BSP-only and cannot run under an Atos policy"
+            )
+        if adapter.tune_config is not None:
+            config = adapter.tune_config(config)
+        kernel = adapter.make_kernel(graph, **params)
+        if metrics:
+            from repro.metrics.sink import MetricsSink
+
+            metrics_sink = metrics if isinstance(metrics, MetricsSink) else MetricsSink()
+        if validate:
+            from repro.check.invariants import InvariantMonitor
+
+            monitor = InvariantMonitor()
+        # one sink stack rides every epoch; a MultiSink only to fan out
+        attached = [s for s in (sink, metrics_sink, monitor) if s is not None]
+        stream = MultiSink(*attached) if len(attached) > 1 else (attached or [None])[0]
+        epochs = []
+        work_done = 0.0
+        batches = script.replay() if script is not None else ()
+        for applied, snapshot in chain([(None, graph)], batches):
+            if applied is not None:
+                last = epochs[-1].result
+                if stream is not None:
+                    # t is the finished epoch's end: the quiescent instant
+                    # after its engine drained
+                    stream.emit(EpochMark(
+                        t=last.elapsed_ns,
+                        epoch=applied.epoch,
+                        inserts=int(applied.inserted.shape[0]),
+                        deletes=int(applied.deleted.shape[0]),
+                    ))
+                # the rebase and the next epoch mutate the artifact in place
+                last.output = last.output.copy()
+                kernel.rebase(snapshot, applied)
+            res = run_policy(
+                kernel, config, policy=policy, spec=spec, max_tasks=max_tasks,
+                sink=stream, perturb=perturb,
+            )
+            work = float(adapter.work_units(kernel))
+            epochs.append(EpochResult(
+                epoch=0 if applied is None else applied.epoch,
+                graph=snapshot,
+                applied=applied,
+                result=_epoch_result(
+                    adapter, config, kernel, res, snapshot, applied, work - work_done
+                ),
+            ))
+            work_done = work
+
+    run = DynamicAppResult(
+        app=adapter.name,
+        impl=config.name,
+        dataset=graph.name,
+        edits=None if script is None else script.spec,
+        epochs=epochs,
+    )
+    final = run.final
+    if script is not None:
+        final.extra["replay_edits"] = script.spec
+        final.extra["replay_epochs"] = len(epochs)
+        final.extra["replay_total_elapsed_ns"] = float(run.total_elapsed_ns)
+        final.extra["replay_total_work_units"] = float(run.total_work_units)
+    if metrics_sink is not None:
+        from repro.metrics.summary import summarize
+
+        final.extra["metrics"] = summarize(
+            metrics_sink,
+            app=adapter.name,
+            dataset=graph.name,
+            config=config.name,
+            elapsed_ns=run.total_elapsed_ns,
+        )
+    if monitor is not None:
+        monitor.reconcile(SimpleNamespace(extra=replay_totals(epochs)))
+        monitor.assert_clean()
+    if validate:
+        # lazy: repro.check runs its fuzzer through this module
+        from repro.check.oracles import validate as oracle
+
+        for e in epochs:
+            oracle(app, e.graph, e.result, **params).assert_valid()
+    return run
 
 
 def run_app(
@@ -195,119 +471,13 @@ def run_app(
 ) -> AppResult:
     """Run application ``app`` on ``graph`` under ``config``'s policy.
 
-    The single entry point behind every per-app ``run_atos`` wrapper, the
-    :class:`~repro.harness.runner.Lab` matrix and the ``python -m repro
-    run`` CLI.  ``params`` are forwarded to the adapter's kernel factory
-    (or, for the BSP policy, to its frontier engine): e.g. ``source=`` for
-    BFS/SSSP, ``epsilon=`` for PageRank.
-
-    ``validate=True`` checks the finished output against the app's answer
-    oracle (:func:`repro.check.oracles.validate`) and raises
-    :class:`repro.check.oracles.OracleError` on a wrong answer — works
-    for every policy, BSP included.  On engine-level policies it also
-    attaches a live :class:`~repro.check.invariants.InvariantMonitor`,
-    composed with any user ``sink`` through
-    :class:`~repro.obs.events.MultiSink`, and raises
-    :class:`~repro.check.invariants.InvariantViolation` if the run broke
-    a model law (previously a user sink and the monitor were mutually
-    exclusive).
-
-    ``metrics=True`` (or a pre-configured
-    :class:`~repro.metrics.sink.MetricsSink`) streams the run's telemetry
-    and stores the :func:`~repro.metrics.summary.summarize` document in
-    ``result.extra["metrics"]``.  Sinks are passive, so attaching any
-    combination leaves simulated results bit-identical.
-
-    ``perturb`` is the engine's pop-stagger hook (see
-    :meth:`~repro.core.engine.ExecutionEngine.pop_stagger`); it requires
-    an engine-level policy.
+    A static run: :func:`replay_app` with no edit batches, returning its
+    one epoch.  ``params`` go to the adapter's kernel factory (or, for
+    the BSP policy, its frontier engine): e.g. ``source=`` for BFS/SSSP,
+    ``epsilon=`` for PageRank.  The keywords are those of
+    :func:`replay_app`.
     """
-    adapter = get_adapter(app)
-    policy = policy_for(config)
-    if policy.app_level:
-        if adapter.bsp is None:
-            raise ValueError(f"app {app!r} has no BSP implementation")
-        if perturb is not None:
-            raise ValueError(
-                f"policy {policy.name!r} runs at application level; "
-                "perturb requires an engine-level policy"
-            )
-        if metrics:
-            raise ValueError(
-                f"policy {policy.name!r} runs at application level and emits "
-                "no engine events; metrics requires an engine-level policy"
-            )
-        result = adapter.bsp(graph, spec=spec, **params)
-        if validate:
-            _validate_output(app, graph, result, params)
-        return result
-    if adapter.make_kernel is None:
-        raise ValueError(
-            f"app {app!r} is BSP-only and cannot run under an Atos policy"
-        )
-    if adapter.tune_config is not None:
-        config = adapter.tune_config(config)
-    kernel = adapter.make_kernel(graph, **params)
-    metrics_sink = None
-    if metrics:
-        from repro.metrics.sink import MetricsSink
-
-        metrics_sink = metrics if isinstance(metrics, MetricsSink) else MetricsSink()
-    monitor = None
-    if validate:
-        from repro.check.invariants import InvariantMonitor
-
-        monitor = InvariantMonitor()
-    effective_sink = sink
-    if metrics_sink is not None or monitor is not None:
-        from repro.obs.events import MultiSink
-
-        attached = [s for s in (sink, metrics_sink, monitor) if s is not None]
-        effective_sink = attached[0] if len(attached) == 1 else MultiSink(*attached)
-    res = run_policy(
-        kernel, config, policy=policy, spec=spec, max_tasks=max_tasks,
-        sink=effective_sink, perturb=perturb,
-    )
-    extra = _base_extra(res)
-    if adapter.extra is not None:
-        extra.update(adapter.extra(kernel))
-    result = AppResult(
-        app=adapter.name,
-        impl=config.name,
-        dataset=graph.name,
-        elapsed_ns=res.elapsed_ns,
-        work_units=float(adapter.work_units(kernel)),
-        items_retired=res.items_retired,
-        iterations=res.generations,
-        kernel_launches=res.kernel_launches,
-        output=adapter.output(kernel),
-        trace=res.trace,
-        extra=extra,
-    )
-    if metrics_sink is not None:
-        from repro.metrics.summary import summarize
-
-        result.extra["metrics"] = summarize(
-            metrics_sink,
-            app=adapter.name,
-            dataset=graph.name,
-            config=config.name,
-            elapsed_ns=res.elapsed_ns,
-        )
-    if monitor is not None:
-        monitor.reconcile(result)
-        monitor.assert_clean()
-    if validate:
-        _validate_output(app, graph, result, params)
-    return result
-
-
-def _validate_output(app: str, graph, result: AppResult, params: dict) -> None:
-    """Oracle-check a finished run (raises on a wrong answer).
-
-    Imported lazily: :mod:`repro.check` depends on this module for the
-    fuzzer's run plumbing, so the import must not run at module load.
-    """
-    from repro.check.oracles import validate as oracle_validate
-
-    oracle_validate(app, graph, result, **params).assert_valid()
+    return replay_app(
+        app, graph, config, None, spec=spec, max_tasks=max_tasks, sink=sink,
+        validate=validate, metrics=metrics, perturb=perturb, **params,
+    ).final

@@ -4,7 +4,7 @@ The static kernels answer "solve this graph"; the incremental variants
 here answer "the graph just changed — repair the answer".  Each subclass
 keeps its parent's execution semantics bit-for-bit (the same ``on_read``
 / ``on_complete`` bodies drive the same label-correcting convergence)
-and adds the :meth:`rebase` hook :func:`repro.core.dynamic.iterate_epochs`
+and adds the :meth:`rebase` hook :func:`repro.apps.common.replay_app`
 calls between epochs: given the new CSR snapshot and the *effective*
 edge changes (:class:`~repro.graph.delta.AppliedBatch`), ``rebase``
 invalidates exactly the state the edits could have corrupted and stages
@@ -46,45 +46,27 @@ Why each rebase is sound (the differential harness then proves it):
 
 The adapters register as ``bfs-inc`` / ``cc-inc`` / ``pagerank-inc``
 with ``dynamic=True``, so static enumeration surfaces (the bench matrix,
-all-apps oracle sweeps) skip them; :func:`replay_app` is their entry
-point and the differential edit-replay harness: one kernel, one sink,
-one digest across every epoch, with the per-epoch output validated
-against the from-scratch oracle on the materialized snapshot.
+all-apps oracle sweeps) skip them.  :func:`repro.apps.common.replay_app`
+is the differential edit-replay harness: one kernel, one sink, one
+digest across every epoch, with the per-epoch output validated against
+the from-scratch oracle on the materialized snapshot.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from repro.apps.bfs import UNREACHED, SpeculativeBfsKernel
 from repro.apps.cc import AsyncCcKernel
-from repro.apps.common import (
-    EMPTY_ITEMS,
-    AppAdapter,
-    AppResult,
-    _base_extra,
-    _validate_output,
-    get_adapter,
-    register_app,
-)
+from repro.apps.common import EMPTY_ITEMS, AppAdapter, register_app
 from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, AsyncPageRankKernel
-from repro.core.config import AtosConfig
-from repro.core.dynamic import iterate_epochs
 from repro.graph.csr import Csr
-from repro.graph.delta import AppliedBatch, EditScript, parse_edits
-from repro.sim.spec import V100_SPEC, GpuSpec
+from repro.graph.delta import AppliedBatch
 
 __all__ = [
     "IncrementalBfsKernel",
     "IncrementalCcKernel",
     "IncrementalPageRankKernel",
-    "EpochResult",
-    "DynamicAppResult",
-    "replay_totals",
-    "replay_app",
 ]
 
 
@@ -273,176 +255,3 @@ register_app(AppAdapter(
     extra=lambda k: {"residue_left": float(np.abs(k.residue).max())},
     dynamic=True,
 ))
-
-
-# ---------------------------------------------------------------------------
-# Edit-replay entry point
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EpochResult:
-    """One epoch of a replay: its snapshot, its edits, its app result.
-
-    ``result.output`` is a *copy* of the kernel's artifact at the end of
-    the epoch (the kernel keeps mutating it); ``result.work_units`` and
-    ``result.elapsed_ns`` are per-epoch deltas, so epoch > 0 rows expose
-    exactly what the repair cost.  ``graph`` is the epoch's materialized
-    snapshot — what a from-scratch recompute (the differential oracle)
-    runs against.
-    """
-
-    epoch: int
-    graph: Csr = field(repr=False)
-    applied: AppliedBatch | None = field(repr=False)
-    result: AppResult = field(repr=False)
-
-
-@dataclass
-class DynamicAppResult:
-    """A full edit-replay: per-epoch results plus replay-level totals."""
-
-    app: str
-    impl: str
-    dataset: str
-    edits: str
-    epochs: list[EpochResult] = field(repr=False)
-
-    @property
-    def total_elapsed_ns(self) -> float:
-        return sum(e.result.elapsed_ns for e in self.epochs)
-
-    @property
-    def total_work_units(self) -> float:
-        return sum(e.result.work_units for e in self.epochs)
-
-    @property
-    def final(self) -> AppResult:
-        return self.epochs[-1].result
-
-
-#: scheduler counters summed over every epoch of a replay — the numbers a
-#: cross-epoch InvariantMonitor accumulates, so reconcile() can cross-check
-#: a whole replay the way it cross-checks a single run
-_SUMMED_COUNTERS = (
-    "total_tasks", "items_retired", "empty_pops", "queue_pushes",
-    "queue_pops", "queue_items_pushed", "queue_items_popped",
-    "queue_items_banked", "steals", "kernel_launches",
-    "policy_switches", "remote_pushes", "remote_items", "remote_steals",
-)
-
-
-def replay_totals(epochs: list[EpochResult]) -> dict[str, int]:
-    """Replay-level counter sums for cross-epoch reconciliation."""
-    totals: dict[str, int] = {}
-    for e in epochs:
-        extra = e.result.extra
-        for key in _SUMMED_COUNTERS:
-            value = extra.get(key, getattr(e.result, key, None))
-            if value is not None:
-                totals[key] = totals.get(key, 0) + int(value)
-        totals["worker_slots"] = extra["worker_slots"]
-    return totals
-
-
-def replay_app(
-    app: str,
-    graph: Csr,
-    config: AtosConfig,
-    edits: EditScript | str,
-    *,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-    validate: bool = False,
-    perturb=None,
-    **params,
-) -> DynamicAppResult:
-    """Replay an edit script through an incremental app, epoch by epoch.
-
-    The dynamic counterpart of :func:`repro.apps.common.run_app` and the
-    differential harness's engine: one kernel built on the base ``graph``
-    is carried through epoch 0 plus one epoch per edit batch
-    (:func:`repro.core.dynamic.iterate_epochs`), all epochs sharing one
-    ``sink`` — so a single :class:`~repro.obs.collector.Collector` digest
-    pins the entire replay.
-
-    ``validate=True`` is the differential oracle: after **every** epoch
-    the kernel's output is checked against the app's oracle on that
-    epoch's materialized snapshot (for BFS/CC that is exact equality with
-    a from-scratch recompute), a live
-    :class:`~repro.check.invariants.InvariantMonitor` rides the whole
-    stream (asserting quiescent epoch boundaries), and the replay-summed
-    counters are reconciled against the summed event totals.
-
-    ``edits`` is an :class:`~repro.graph.delta.EditScript` or a spec
-    string like ``"3x32@7"`` (see :func:`~repro.graph.delta.parse_edits`).
-    """
-    adapter = get_adapter(app)
-    if not adapter.dynamic:
-        raise ValueError(
-            f"app {app!r} is not a dynamic adapter; replay_app needs an "
-            "incremental kernel (bfs-inc, cc-inc, pagerank-inc)"
-        )
-    script = parse_edits(edits, graph) if isinstance(edits, str) else edits
-    if script.graph is not graph:
-        raise ValueError("edit script was generated against a different graph")
-    if adapter.tune_config is not None:
-        config = adapter.tune_config(config)
-    kernel = adapter.make_kernel(graph, **params)
-    monitor = None
-    if validate:
-        from repro.check.invariants import InvariantMonitor
-
-        monitor = InvariantMonitor()
-    effective_sink = sink
-    if monitor is not None:
-        from repro.obs.events import MultiSink
-
-        effective_sink = monitor if sink is None else MultiSink(sink, monitor)
-
-    epochs: list[EpochResult] = []
-    prev_work = 0.0
-    for out in iterate_epochs(
-        kernel, config, script, spec=spec, max_tasks=max_tasks,
-        sink=effective_sink, perturb=perturb,
-    ):
-        res = out.result
-        extra = _base_extra(res)
-        if adapter.extra is not None:
-            extra.update(adapter.extra(kernel))
-        if out.applied is not None:
-            extra["edits_inserted"] = int(out.applied.inserted.shape[0])
-            extra["edits_deleted"] = int(out.applied.deleted.shape[0])
-        work_total = float(adapter.work_units(kernel))
-        result = AppResult(
-            app=adapter.name,
-            impl=config.name,
-            dataset=out.graph.name,
-            elapsed_ns=res.elapsed_ns,
-            work_units=work_total - prev_work,
-            items_retired=res.items_retired,
-            iterations=res.generations,
-            kernel_launches=res.kernel_launches,
-            output=np.array(adapter.output(kernel), copy=True),
-            trace=res.trace,
-            extra=extra,
-        )
-        prev_work = work_total
-        if validate:
-            # the differential oracle: this epoch's incremental state
-            # versus a from-scratch reference on the materialized snapshot
-            _validate_output(app, out.graph, result, params)
-        epochs.append(EpochResult(
-            epoch=out.epoch, graph=out.graph, applied=out.applied, result=result,
-        ))
-
-    if monitor is not None:
-        monitor.reconcile(SimpleNamespace(extra=replay_totals(epochs)))
-        monitor.assert_clean()
-    return DynamicAppResult(
-        app=adapter.name,
-        impl=config.name,
-        dataset=graph.name,
-        edits=script.spec,
-        epochs=epochs,
-    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.apps.common import AppResult, get_adapter, run_app
+from repro.apps.common import AppResult, get_adapter, replay_app, replay_totals
 from repro.check.invariants import InvariantMonitor, InvariantViolation, Violation
 from repro.check.oracles import ValidationReport, validate
 from repro.core.config import AtosConfig
@@ -166,18 +166,17 @@ def fuzz_app(
 
     ``edits`` (an :class:`~repro.graph.delta.EditScript` or spec string)
     makes each seed replay the whole script through a dynamic app
-    (:func:`repro.apps.dynamic.replay_app`) with one monitor riding the
+    (:func:`repro.apps.common.replay_app`) with one monitor riding the
     entire stream, so epoch boundaries (quiescence at every
     :class:`~repro.obs.events.EpochMark`) and replay-summed counter
     reconciliation are fuzzed alongside the answers.  Every epoch is
     checked against the oracle on its materialized snapshot, under
-    ``epochN:`` check-name prefixes; one failing epoch fails the seed.
+    ``epochN:`` check-name prefixes when there is more than one epoch;
+    one failing epoch fails the seed.
 
     Returns a :class:`FuzzReport`; it never raises on violations — call
     :meth:`FuzzReport.assert_clean` for the asserting form.
     """
-    from repro.apps.dynamic import replay_app, replay_totals
-
     adapter = get_adapter(app)
     policy = policy_for(config)
     if policy.app_level:
@@ -187,8 +186,6 @@ def fuzz_app(
         )
     if adapter.make_kernel is None:
         raise ValueError(f"app {app!r} is BSP-only and cannot be fuzzed")
-    if edits is not None and not adapter.dynamic:
-        raise ValueError(f"app {app!r} is not dynamic; edits need an incremental app")
     seed_list: Sequence[int] = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     tuned = adapter.tune_config(config) if adapter.tune_config is not None else config
     slots, _ = _worker_slots(spec, tuned)
@@ -202,38 +199,25 @@ def fuzz_app(
     )
     for seed in seed_list:
         monitor = InvariantMonitor(worker_slots=slots)
-        common = dict(
-            spec=spec, max_tasks=max_tasks, sink=monitor,
+        run = replay_app(
+            app, graph, config, edits, spec=spec, max_tasks=max_tasks, sink=monitor,
             perturb=perturbation(seed, amplitude_ns), **params,
         )
-        if edits is None:
-            result = run_app(app, graph, config, **common)
-            monitor.reconcile(result)
-            oracle_report = check(app, graph, result, **params)
-            elapsed_ns, tasks = result.elapsed_ns, _tasks(result)
-        else:
-            dres = replay_app(app, graph, config, edits, **common)
-            monitor.reconcile(SimpleNamespace(extra=replay_totals(dres.epochs)))
-            oracle_report = ValidationReport(app=app)
-            for epoch in dres.epochs:
-                per_epoch = check(app, epoch.graph, epoch.result, **params)
-                for c in per_epoch.checks:
-                    oracle_report.add(f"epoch{epoch.epoch}:{c.name}", c.ok, c.detail)
-            result = dres.final
-            elapsed_ns = dres.total_elapsed_ns
-            tasks = sum(_tasks(e.result) for e in dres.epochs)
+        totals = replay_totals(run.epochs)
+        monitor.reconcile(SimpleNamespace(extra=totals))
+        oracle_report = ValidationReport(app=app)
+        for epoch in run.epochs:
+            prefix = f"epoch{epoch.epoch}:" if len(run.epochs) > 1 else ""
+            for c in check(app, epoch.graph, epoch.result, **params).checks:
+                oracle_report.add(prefix + c.name, c.ok, c.detail)
         report.runs.append(
             FuzzRun(
                 seed=seed,
-                elapsed_ns=elapsed_ns,
-                total_tasks=tasks,
+                elapsed_ns=run.total_elapsed_ns,
+                total_tasks=totals["total_tasks"],
                 violations=list(monitor.violations),
                 oracle=oracle_report,
-                result=result,
+                result=run.final,
             )
         )
     return report
-
-
-def _tasks(result: AppResult) -> int:
-    return int(result.extra.get("total_tasks", result.items_retired))

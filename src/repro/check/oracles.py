@@ -395,7 +395,7 @@ def oracle_pagerank(
 # Incremental (dynamic-graph) variants — the differential oracle
 # ---------------------------------------------------------------------------
 #
-# The dynamic replay harness (repro.apps.dynamic.replay_app) validates the
+# The dynamic replay harness (repro.apps.common.replay_app) validates the
 # incremental kernels' state after *every* epoch against the materialized
 # CSR snapshot of that epoch.  BFS and CC converge to schedule-invariant
 # fixpoints, so "incremental == from-scratch recompute" is literally the

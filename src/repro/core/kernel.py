@@ -95,9 +95,10 @@ class TaskKernel(Protocol):
     # return extends the run with those items.
     #
     # ``rebase(graph, applied) -> None`` — dynamic-graph support
-    # (:mod:`repro.core.dynamic`): swap the kernel onto a mutated CSR
-    # snapshot and convert the effective edge changes (an
-    # :class:`~repro.graph.delta.AppliedBatch`) into repair seeds, which
-    # the *next* ``initial_items()`` call must return.  State (depths,
-    # labels, ranks) carries over — that is the point of an incremental
-    # kernel.  Only kernels implementing ``rebase`` can run multi-epoch.
+    # (:func:`repro.apps.common.replay_app` calls it between epochs): swap
+    # the kernel onto a mutated CSR snapshot and convert the effective
+    # edge changes (an :class:`~repro.graph.delta.AppliedBatch`) into
+    # repair seeds, which the *next* ``initial_items()`` call must return.
+    # State (depths, labels, ranks) carries over — that is the point of an
+    # incremental kernel.  Only kernels implementing ``rebase`` can run
+    # multi-epoch.

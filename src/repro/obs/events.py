@@ -238,14 +238,15 @@ class RemoteSteal(TraceEvent):
 class EpochMark(TraceEvent):
     """Boundary between two graph epochs of a multi-epoch (dynamic) run.
 
-    Emitted by :func:`repro.core.dynamic.run_epochs` after the epoch's
+    Emitted by :func:`repro.apps.common.replay_app` after the epoch's
     engine drained and **before** the next epoch's run begins — i.e. at a
     quiescent instant: no tasks in flight, every queue empty.  ``t`` is
     the finishing epoch's elapsed simulated time; per-epoch runs restart
-    their clocks at 0, so consumers tracking simulated time (the
-    invariant monitor's queue/worker clocks) treat this event as a clock
-    reset.  ``inserts``/``deletes`` count the *effective* edge changes of
-    the batch that produced the next epoch's graph.
+    their clocks at 0, so consumers tracking simulated time treat this
+    event as a clock reset (the invariant monitor resets its queue/worker
+    clocks, the metrics sink lays the next epoch after this one).
+    ``inserts``/``deletes`` count the *effective* edge changes of the
+    batch that produced the next epoch's graph.
     """
 
     epoch: int

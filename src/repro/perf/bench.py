@@ -74,8 +74,8 @@ def bench_cells() -> list[RunSpec]:
     for app in app_names():
         adapter = get_adapter(app)
         if adapter.dynamic:
-            # incremental variants run multi-epoch through replay_app
-            # (benchmarks/bench_dynamic.py), not as single static cells
+            # incremental variants need an edit script to replay
+            # (benchmarks/bench_dynamic.py), so no static cell runs them
             continue
         kernel_app = adapter.make_kernel is not None
         impls = BENCH_PRESETS if kernel_app else ("BSP",)

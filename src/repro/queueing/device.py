@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.graph.partition import Partition
 from repro.obs.events import EventSink, QueueSteal, RemotePush, RemoteSteal
-from repro.queueing.mpmc import MpmcQueue
 from repro.queueing.protocol import WorklistStats
 from repro.queueing.stealing import StealingWorklist
 from repro.sim.spec import InterconnectSpec

@@ -31,10 +31,10 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from repro.apps.common import AppResult, run_app
+from repro.apps.common import AppResult, replay_app
 from repro.core.config import CONFIGS, AtosConfig, KernelStrategy
 from repro.graph.csr import Csr
-from repro.graph.datasets import load_dataset, resolve_dataset
+from repro.graph.datasets import SIZES, load_dataset, resolve_dataset
 from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
     "execute_spec",
     "spec_from_dict",
 ]
-
-_SIZES = ("tiny", "small", "default")
 
 
 class JobSpecError(ValueError):
@@ -63,7 +61,7 @@ class RunSpec:
     (:func:`repro.check.fuzz.perturbation`): ``0`` is the unperturbed
     run, any positive seed is a distinct — still fully deterministic —
     schedule.  ``edits`` replays an edit script through a dynamic app
-    (:func:`repro.apps.dynamic.replay_app`).  ``devices``/``partition``
+    (:func:`repro.apps.common.replay_app`).  ``devices``/``partition``
     rebase the preset onto the distributed strategy
     (:meth:`~repro.core.config.AtosConfig.on_devices`).  ``permuted``
     runs on the Section 6.3 id-permuted graph.  ``params`` are extra
@@ -203,8 +201,8 @@ def validate_spec(spec: RunSpec) -> None:
         raise JobSpecError(
             f"unknown config {spec.impl!r}; known: {', '.join(sorted(CONFIGS))}"
         )
-    if spec.size not in _SIZES:
-        raise JobSpecError(f"unknown size {spec.size!r}; known: {', '.join(_SIZES)}")
+    if spec.size not in SIZES:
+        raise JobSpecError(f"unknown size {spec.size!r}; known: {', '.join(SIZES)}")
     try:
         resolve_dataset(spec.dataset)
     except KeyError as exc:
@@ -320,34 +318,24 @@ def execute_spec(
     process-wide build cache — so callers may memoise on the spec and
     threads may share it.  ``sink``, ``validate`` (answer oracle plus
     invariant monitor) and ``metrics`` (streaming telemetry) only observe
-    the run (see :func:`~repro.apps.common.run_app`; a metrics summary
+    the run (see :func:`~repro.apps.common.replay_app`; a metrics summary
     is stamped with ``spec.size``); ``gpu`` and
     ``max_tasks`` are the simulated device and the runaway guard, which
     a :class:`~repro.harness.runner.Lab` sets and the service leaves at
     their defaults.
 
-    A spec with ``edits`` replays through
-    :func:`repro.apps.dynamic.replay_app` and returns the *final
-    epoch's* result with replay totals folded into ``extra``.
+    The result is the run's *final epoch*: the only one of a static run,
+    the last one of an ``edits`` replay, whose ``extra`` carries the
+    replay totals (and a metrics summary over every epoch).
     """
-    common = dict(
+    result = replay_app(
+        spec.app, spec.graph(), spec.atos_config(), spec.edits,
         spec=gpu, max_tasks=max_tasks, sink=sink, validate=validate,
-        perturb=spec.perturbation(), **dict(spec.params),
-    )
-    if spec.edits is None:
-        result = run_app(spec.app, spec.graph(), spec.atos_config(), metrics=metrics, **common)
-        if metrics:
-            result.extra["metrics"]["size"] = spec.size
-        return result
-    from repro.apps.dynamic import replay_app
-
-    dres = replay_app(spec.app, spec.graph(), spec.atos_config(), spec.edits, **common)
-    final = dres.final
-    final.extra["replay_edits"] = dres.edits
-    final.extra["replay_epochs"] = len(dres.epochs)
-    final.extra["replay_total_elapsed_ns"] = float(dres.total_elapsed_ns)
-    final.extra["replay_total_work_units"] = float(dres.total_work_units)
-    return final
+        metrics=metrics, perturb=spec.perturbation(), **dict(spec.params),
+    ).final
+    if metrics:
+        result.extra["metrics"]["size"] = spec.size
+    return result
 
 
 # ---------------------------------------------------------------------------

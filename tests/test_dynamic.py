@@ -27,10 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.bfs import UNREACHED, reference_depths
+from repro.apps.bfs import reference_depths
 from repro.apps.cc import reference_components
-from repro.apps.common import get_adapter, run_app
-from repro.apps.dynamic import replay_app
+from repro.apps.common import get_adapter, replay_app
 from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, reference_ranks
 from repro.check.fuzz import fuzz_app
 from repro.check.oracles import ValidationReport, validate

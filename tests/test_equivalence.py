@@ -183,7 +183,7 @@ GOLDEN_DYNAMIC_DIGESTS = {
 
 
 def _assert_replay_matches_golden(app, preset, **params):
-    from repro.apps.dynamic import replay_app
+    from repro.apps.common import replay_app
     from repro.graph.generators import rmat
 
     g = rmat(8, edge_factor=6, seed=7, name="rmat8")

@@ -42,6 +42,7 @@ from repro.obs import Collector, MultiSink
 from repro.obs.events import (
     Barrier,
     EmptyPop,
+    EpochMark,
     GenerationEnd,
     GenerationStart,
     KernelLaunch,
@@ -434,6 +435,53 @@ class TestSummary:
         write_summary(summary, a)
         write_summary(load_summary(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Edit replays: one summary over every epoch
+# ---------------------------------------------------------------------------
+
+BFS_REPLAY = RunSpec("bfs-inc", "rmat8", edits="2x8@1", size="tiny")
+
+
+class TestReplaySummary:
+    def test_summary_covers_every_epoch(self):
+        from repro.apps.common import replay_app, replay_totals
+
+        collector = Collector()
+        res = execute_spec(BFS_REPLAY, sink=collector, metrics=True)
+        doc = res.extra["metrics"]
+        assert validate_summary(doc) == []
+        assert doc["size"] == "tiny" and doc["app"] == "bfs-inc"
+        assert doc["events_seen"] == len(collector.events)
+        run = replay_app(
+            BFS_REPLAY.app, BFS_REPLAY.graph(), BFS_REPLAY.atos_config(), BFS_REPLAY.edits
+        )
+        assert len(run.epochs) == 3
+        assert doc["counters"]["task_pops"] == replay_totals(run.epochs)["total_tasks"]
+        assert doc["elapsed_ns"] == res.extra["replay_total_elapsed_ns"]
+
+    def test_lab_replay_cells_carry_a_summary(self):
+        [res] = Lab(size="tiny", metrics=True).run_cells([BFS_REPLAY])
+        doc = res.extra["metrics"]
+        assert validate_summary(doc) == []
+        assert doc["elapsed_ns"] == res.extra["replay_total_elapsed_ns"]
+
+    def test_epochs_are_laid_end_to_end(self):
+        """Every epoch's engine restarts at t=0 with empty queues; the sink
+        continues one time line from the mark (the finished epoch's end)."""
+        sink = MetricsSink()
+        sink.emit(QueuePush(t=100.0, queue="a", items=2, depth=2, wait_ns=0.0))
+        sink.emit(TaskPop(t=500.0, worker=0, items=1))
+        sink.emit(TaskComplete(t=3000.0, worker=0, items=1, retired=1, pushed=0, work=1.0))
+        sink.emit(EpochMark(t=3000.0, epoch=1, inserts=1, deletes=0))
+        sink.emit(QueuePush(t=100.0, queue="b", items=1, depth=1, wait_ns=0.0))
+        sink.emit(TaskPop(t=200.0, worker=0, items=1))
+        sink.emit(TaskComplete(t=1000.0, worker=0, items=1, retired=1, pushed=0, work=1.0))
+        assert sink.end_t == 4000.0
+        assert sink.histograms["task_latency_ns"].sum == 2500.0 + 800.0
+        assert sink.series["retired"].to_dict()["values"] == [0.0, 0.0, 1.0, 1.0]
+        assert sink.series["queue_depth"].to_dict()["values"][-1] == 1.0
 
 
 class TestExporters:
