@@ -174,10 +174,10 @@ class IncrementalPageRankKernel(AsyncPageRankKernel):
 
     An edit can withdraw mass, so residues go negative: the parent's
     claim already propagates any non-zero residue, and its reservation
-    scans compare ``|residue|`` here (:meth:`_magnitude`).
+    scans compare ``|residue|`` here (``_signed``).
     """
 
-    _magnitude = staticmethod(np.abs)
+    _signed = True
 
     def __init__(
         self,

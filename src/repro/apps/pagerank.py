@@ -60,6 +60,13 @@ DEFAULT_EPSILON = 1e-4
 class AsyncPageRankKernel:
     """Atos task kernel for asynchronous PageRank (paper Algorithm 4)."""
 
+    #: whether residues can be negative.  Static residues never are, so the
+    #: reservation scans compare the residue itself against
+    #: ``scan_threshold``; the incremental subclass, whose edits can
+    #: withdraw mass, sets it and compares ``|residue|``.  A class constant
+    #: rather than a method: the contiguous scan runs once per completion.
+    _signed = False
+
     def __init__(
         self,
         graph: Csr,
@@ -123,16 +130,6 @@ class AsyncPageRankKernel:
         starts = graph.indptr[1:-1]
         row_start[starts[starts < ind.size]] = True
         return bool(np.all(increasing | row_start[1:]))
-
-    @staticmethod
-    def _magnitude(residue: np.ndarray) -> np.ndarray:
-        """What the reservation scans compare against ``scan_threshold``.
-
-        Static residues are never negative, so the residue itself;
-        the incremental subclass, whose edits can withdraw mass, compares
-        ``|residue|``.
-        """
-        return residue
 
     def initial_items(self) -> np.ndarray:
         return np.arange(self.graph.num_vertices, dtype=np.int64)
@@ -219,9 +216,10 @@ class AsyncPageRankKernel:
             # contiguous window: slice views instead of fancy indexing (the
             # common case — one call per completed task); the mask buffer is
             # exactly check_size wide, the width of every contiguous window
-            mask = np.greater(
-                self._magnitude(residue[start:stop]), thresh[start:stop], out=self._mask_buf
-            )
+            scanned = residue[start:stop]
+            if self._signed:
+                scanned = np.abs(scanned)
+            mask = np.greater(scanned, thresh[start:stop], out=self._mask_buf)
             dirty = mask.nonzero()[0]
             if dirty.size:
                 dirty += start
@@ -233,7 +231,10 @@ class AsyncPageRankKernel:
             # queue would accumulate copies (and the exchange would double
             # residue mass).  _window dedups and sorts analytically.
             window = self._window(start, n)
-            dirty = window[self._magnitude(residue[window]) > thresh[window]]
+            scanned = residue[window]
+            if self._signed:
+                scanned = np.abs(scanned)
+            dirty = window[scanned > thresh[window]]
             thresh[dirty] = np.inf
         return CompletionResult(
             new_items=dirty,
@@ -280,7 +281,8 @@ class AsyncPageRankKernel:
 
     def final_check(self, t: float) -> np.ndarray:
         """Quiescence rescan: the whole residue array, once."""
-        dirty = np.flatnonzero(self._magnitude(self.residue) > self.scan_threshold)
+        scanned = np.abs(self.residue) if self._signed else self.residue
+        dirty = np.flatnonzero(scanned > self.scan_threshold)
         self.scan_threshold[dirty] = np.inf
         return dirty.astype(np.int64)
 

@@ -198,6 +198,16 @@ class TestResultCache:
         assert result_digest(back) == result_digest(bfs_tiny_result)
         stats = cache.stats()
         assert stats.hits == 1 and stats.entries == 1 and stats.bytes > 0
+        # the digest leaves the trace out: a persist-warp result (one
+        # sample per completion) must come back with its columns intact
+        warp = execute_spec(RunSpec(app="pagerank", impl="persist-warp", **TINY))
+        cache.put("warp", warp)
+        back = cache.get("warp")
+        assert len(back.trace.times) == warp.extra["total_tasks"]
+        for name in ("times", "items", "work"):
+            col, ref = getattr(back.trace, name), getattr(warp.trace, name)
+            assert col.typecode == ref.typecode
+            assert col.tobytes() == ref.tobytes()
 
     def test_miss_counts(self):
         cache = ResultCache()

@@ -1,9 +1,36 @@
 """Unit tests for throughput tracing (Figures 1-3 machinery)."""
 
+import dataclasses
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
+from repro.perf.bench import bench_cells
+from repro.service.jobs import execute_spec
 from repro.sim.trace import ThroughputSeries, ThroughputTrace
+
+#: samples in the large-trace tests: the order of a cached persist-warp
+#: PageRank result at ``small``
+N_SAMPLES = 100_000
+
+
+def _samples(n: int = N_SAMPLES) -> tuple[list, list, list]:
+    """Completion-like samples as Python lists: rising fractional times,
+    small item counts, edge-count work."""
+    rng = np.random.default_rng(7)
+    times = np.cumsum(rng.exponential(37.5, n)).tolist()
+    items = rng.integers(1, 65, n).tolist()
+    work = rng.integers(0, 4000, n).astype(np.float64).tolist()
+    return times, items, work
+
+
+def _typed_trace(times, items, work) -> ThroughputTrace:
+    tr = ThroughputTrace()
+    for sample in zip(times, items, work):
+        tr.record(*sample)
+    return tr
 
 
 class TestTrace:
@@ -47,6 +74,68 @@ class TestTrace:
     def test_invalid_bins(self):
         with pytest.raises(ValueError):
             ThroughputTrace().series(bins=0)
+
+    def test_item_count_past_c_int_raises(self):
+        tr = ThroughputTrace()
+        tr.record(1.0, 2**31 - 1, 0.0)
+        with pytest.raises(OverflowError):
+            tr.record(2.0, 2**31, 0.0)
+
+
+class TestTypedColumns:
+    """The columns are typed buffers: a pickled trace is three buffers."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return _samples()
+
+    def test_pickle_keeps_typecodes_and_values(self, samples):
+        tr = _typed_trace(*samples)
+        payload = pickle.dumps(tr, protocol=pickle.HIGHEST_PROTOCOL)
+        before = sys.getallocatedblocks()
+        back = pickle.loads(payload)
+        added = sys.getallocatedblocks() - before
+        # a column of boxed floats adds one block per sample (200,006
+        # for this trace); typed buffers add a handful of objects
+        assert added < 1_000, added
+        for name, typecode in (("times", "d"), ("items", "i"), ("work", "d")):
+            col = getattr(back, name)
+            assert col.typecode == typecode
+            assert col.tobytes() == getattr(tr, name).tobytes()
+        assert back.items.tolist() == samples[1]
+        assert back.times.tolist() == samples[0]
+        assert back.work.tolist() == samples[2]
+
+    @pytest.mark.parametrize("use_work", [False, True])
+    @pytest.mark.parametrize("end_time", [None, 3.3e6])
+    def test_series_equals_list_built_reference(self, samples, use_work, end_time):
+        """Typed columns bin exactly as the same samples held in lists."""
+        typed = _typed_trace(*samples)
+        reference = ThroughputTrace(*(list(col) for col in samples))
+        assert typed.end_time() == reference.end_time()
+        assert typed.total_items == reference.total_items
+        assert typed.total_work == reference.total_work
+        got = typed.series(bins=60, end_time=end_time, use_work=use_work)
+        want = reference.series(bins=60, end_time=end_time, use_work=use_work)
+        assert got.bin_ns == want.bin_ns
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.rates.tobytes() == want.rates.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", bench_cells(), ids=lambda c: f"{c.app}-{c.dataset}-{c.impl}"
+)
+def test_trace_accounts_for_every_completion(spec):
+    """One sample per engine task; the columns sum to the run's counters.
+
+    perfbench pins ``len(result.trace.times)`` as ``trace_samples``: this
+    is the number a completion count would have to keep.
+    """
+    res = execute_spec(dataclasses.replace(spec, size="tiny"))
+    if spec.impl != "BSP":
+        assert len(res.trace.times) == res.extra["total_tasks"]
+    assert sum(res.trace.items) == res.items_retired
+    assert sum(res.trace.work) == res.work_units
 
 
 class TestSeries:
