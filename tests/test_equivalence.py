@@ -378,6 +378,25 @@ def test_bsp_runner_matches_golden(lab, app, dataset):
     assert result_digest(res) == GOLDEN_BSP[(app, dataset)], f"{app}/{dataset}/BSP diverged"
 
 
+# Direction-optimized BFS (Beamer push/pull, impl "BSP-DO"): the BSP BFS
+# runner's second body, reached through its ``direction_optimized`` param.
+GOLDEN_BSP_DO = {
+    "roadNet-CA": "fbf2ecaa61b66b44",
+    "soc-LiveJournal1": "8534e2f81881f68e",
+}
+
+
+def bsp_do_spec(dataset: str, size: str = "small") -> RunSpec:
+    return RunSpec("bfs", dataset, "BSP", size=size, params={"direction_optimized": True})
+
+
+@pytest.mark.parametrize("dataset", sorted(GOLDEN_BSP_DO))
+def test_direction_optimized_bsp_matches_golden(dataset):
+    res = execute_spec(bsp_do_spec(dataset, "tiny"))
+    assert res.impl == "BSP-DO"
+    assert result_digest(res) == GOLDEN_BSP_DO[dataset], f"bfs/{dataset}/BSP-DO diverged"
+
+
 # ---------------------------------------------------------------------------
 # Hybrid acceptance: within 5% of the better pure strategy on the
 # small-frontier regimes of Section 6.5

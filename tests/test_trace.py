@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.perf.bench import bench_cells
-from repro.service.jobs import execute_spec
+from repro.service.jobs import RunSpec, execute_spec
 from repro.sim.trace import ThroughputSeries, ThroughputTrace
+from tests.test_equivalence import GOLDEN_BSP, GOLDEN_BSP_DO, bsp_do_spec
 
 #: samples in the large-trace tests: the order of a cached persist-warp
 #: PageRank result at ``small``
@@ -122,8 +123,18 @@ class TestTypedColumns:
         assert got.rates.tobytes() == want.rates.tobytes()
 
 
+def _accounting_cells() -> list[RunSpec]:
+    """Every bench cell, then every BSP runner and direction-optimized BFS."""
+    cells = bench_cells()
+    bsp = [RunSpec(app, dataset, "BSP") for app, dataset in sorted(GOLDEN_BSP)]
+    cells += [c for c in bsp if c not in cells]
+    return cells + [bsp_do_spec(dataset) for dataset in sorted(GOLDEN_BSP_DO)]
+
+
 @pytest.mark.parametrize(
-    "spec", bench_cells(), ids=lambda c: f"{c.app}-{c.dataset}-{c.impl}"
+    "spec",
+    _accounting_cells(),
+    ids=lambda c: "-".join([c.app, c.dataset, c.impl, *(f"{k}={v}" for k, v in c.params)]),
 )
 def test_trace_accounts_for_every_completion(spec):
     """One sample per engine task; the columns sum to the run's counters.
