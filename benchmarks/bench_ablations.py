@@ -12,7 +12,7 @@ asserts qualitatively.
 """
 
 from repro.analysis.tables import format_table
-from repro.apps import bfs
+from repro.apps import bfs, run_app
 from repro.core.config import PERSIST_CTA, PERSIST_WARP, AtosConfig
 from repro.sim.spec import FULL_V100_SPEC
 
@@ -24,7 +24,7 @@ def test_queue_scaling(benchmark, lab, save_artifact):
         rows = []
         for nq in (1, 2, 4, 8):
             cfg = PERSIST_WARP.with_overrides(num_queues=nq, name=f"persist-warp-q{nq}")
-            res = bfs.run_atos(graph, cfg, spec=lab.spec)
+            res = run_app("bfs", graph, cfg, spec=lab.spec)
             rows.append(
                 [
                     nq,
@@ -45,7 +45,7 @@ def test_queue_scaling(benchmark, lab, save_artifact):
     times = {}
     for nq in (1, 8):
         cfg = PERSIST_WARP.with_overrides(num_queues=nq, name=f"persist-warp-q{nq}")
-        times[nq] = bfs.run_atos(graph, cfg, spec=lab.spec).elapsed_ns
+        times[nq] = run_app("bfs", graph, cfg, spec=lab.spec).elapsed_ns
     assert times[1] <= 1.25 * times[8]
 
 
@@ -60,7 +60,7 @@ def test_worker_size_extremes(benchmark, lab, save_artifact):
     def sweep():
         rows = []
         for cfg in configs:
-            res = bfs.run_atos(graph, cfg, spec=lab.spec)
+            res = run_app("bfs", graph, cfg, spec=lab.spec)
             rows.append([cfg.name, f"{res.elapsed_ms:.3f}", res.extra["worker_slots"]])
         return format_table(
             ["worker", "runtime (ms)", "slots"],
@@ -72,8 +72,8 @@ def test_worker_size_extremes(benchmark, lab, save_artifact):
     save_artifact("ablation_worker_size", table)
 
     # thread workers serialize high-degree vertices: worst of the three
-    thread_t = bfs.run_atos(graph, configs[0], spec=lab.spec).elapsed_ns
-    cta_t = bfs.run_atos(graph, PERSIST_CTA, spec=lab.spec).elapsed_ns
+    thread_t = run_app("bfs", graph, configs[0], spec=lab.spec).elapsed_ns
+    cta_t = run_app("bfs", graph, PERSIST_CTA, spec=lab.spec).elapsed_ns
     assert cta_t < thread_t
 
 
@@ -86,7 +86,7 @@ def test_direction_optimized_baseline(benchmark, lab, save_artifact):
     def measure():
         plain = bfs.run_bsp(graph, spec=lab.spec)
         do = bfs.run_bsp(graph, spec=lab.spec, direction_optimized=True)
-        atos = bfs.run_atos(graph, PERSIST_CTA, spec=lab.spec)
+        atos = run_app("bfs", graph, PERSIST_CTA, spec=lab.spec)
         return format_table(
             ["impl", "runtime (ms)", "edge work"],
             [
@@ -114,8 +114,8 @@ def test_shared_queue_vs_work_stealing(benchmark, lab, save_artifact):
     )
 
     def measure():
-        shared = bfs.run_atos(graph, PERSIST_WARP, spec=lab.spec)
-        steal = bfs.run_atos(graph, steal_cfg, spec=lab.spec)
+        shared = run_app("bfs", graph, PERSIST_WARP, spec=lab.spec)
+        steal = run_app("bfs", graph, steal_cfg, spec=lab.spec)
         return format_table(
             ["worklist", "runtime (ms)", "contention wait (us)"],
             [
@@ -128,8 +128,8 @@ def test_shared_queue_vs_work_stealing(benchmark, lab, save_artifact):
     table = benchmark.pedantic(measure, rounds=1, iterations=1)
     save_artifact("ablation_worklist_organisation", table)
 
-    shared_t = bfs.run_atos(graph, PERSIST_WARP, spec=lab.spec).elapsed_ns
-    steal_t = bfs.run_atos(graph, steal_cfg, spec=lab.spec).elapsed_ns
+    shared_t = run_app("bfs", graph, PERSIST_WARP, spec=lab.spec).elapsed_ns
+    steal_t = run_app("bfs", graph, steal_cfg, spec=lab.spec).elapsed_ns
     # shared must be at least competitive (the paper's design choice)
     assert shared_t <= steal_t * 1.2
 
@@ -139,8 +139,8 @@ def test_machine_scaling(benchmark, lab, save_artifact):
     graph = lab.graph("roadNet-CA")
 
     def measure():
-        scaled = bfs.run_atos(graph, PERSIST_CTA, spec=lab.spec)
-        full = bfs.run_atos(graph, PERSIST_CTA, spec=FULL_V100_SPEC)
+        scaled = run_app("bfs", graph, PERSIST_CTA, spec=lab.spec)
+        full = run_app("bfs", graph, PERSIST_CTA, spec=FULL_V100_SPEC)
         return format_table(
             ["machine", "runtime (ms)", "worker slots"],
             [

@@ -8,7 +8,7 @@ weighted road mesh where the contrast is starkest.
 """
 
 from repro.analysis.tables import format_table
-from repro.apps import delta_sssp, sssp
+from repro.apps import delta_sssp, run_app, sssp
 from repro.core.config import PERSIST_CTA
 
 
@@ -21,7 +21,7 @@ def test_speculation_vs_orderings(benchmark, lab, save_artifact):
     def measure():
         bf = sssp.run_bellman_ford(graph, weights=weights, spec=lab.spec)
         ds = delta_sssp.run_delta_stepping(graph, weights=weights, spec=lab.spec)
-        spec_run = sssp.run_atos(graph, PERSIST_CTA, weights=weights, spec=lab.spec)
+        spec_run = run_app("sssp", graph, PERSIST_CTA, weights=weights, spec=lab.spec)
         for r in (bf, ds, spec_run):
             assert sssp.validate_distances(graph, weights, r.output), r.impl
         return bf, ds, spec_run

@@ -10,7 +10,7 @@ it is the model-level test of the paper's causal story.)
 """
 
 from repro.analysis.tables import format_table
-from repro.apps import bfs
+from repro.apps import bfs, run_app
 from repro.core.config import PERSIST_CTA
 
 LAUNCH_COSTS = (100.0, 1000.0, 5000.0, 20000.0)
@@ -24,7 +24,7 @@ def test_launch_cost_sensitivity(benchmark, lab, save_artifact):
         for launch in LAUNCH_COSTS:
             spec = lab.spec.scaled(kernel_launch_ns=launch, barrier_ns=launch * 0.4)
             bsp = bfs.run_bsp(graph, spec=spec)
-            atos = bfs.run_atos(graph, PERSIST_CTA, spec=spec)
+            atos = run_app("bfs", graph, PERSIST_CTA, spec=spec)
             rows.append(
                 [
                     f"{launch / 1e3:.1f}",
@@ -49,7 +49,7 @@ def test_advantage_grows_with_launch_cost(lab):
     def gap(launch: float) -> float:
         spec = lab.spec.scaled(kernel_launch_ns=launch, barrier_ns=launch * 0.4)
         bsp = bfs.run_bsp(graph, spec=spec)
-        atos = bfs.run_atos(graph, PERSIST_CTA, spec=spec)
+        atos = run_app("bfs", graph, PERSIST_CTA, spec=spec)
         return bsp.elapsed_ns / atos.elapsed_ns
 
     assert gap(20000.0) > gap(100.0)

@@ -19,14 +19,14 @@ Run:  python examples/network_analysis.py
 import numpy as np
 
 from repro import PERSIST_WARP, load_dataset
-from repro.apps import cc, kcore, mis
+from repro.apps import cc, kcore, mis, run_app
 
 
 def main() -> None:
     graph = load_dataset("soc-LiveJournal1", size="tiny")
     print(f"analysing {graph.name}: |V|={graph.num_vertices}, |E|={graph.num_edges}\n")
 
-    comps = cc.run_atos(graph, PERSIST_WARP)
+    comps = run_app("cc", graph, PERSIST_WARP)
     assert cc.validate_components(graph, comps.output)
     sizes = np.bincount(comps.output)
     sizes = np.sort(sizes[sizes > 0])[::-1]
@@ -35,7 +35,7 @@ def main() -> None:
         f"(largest {sizes[0]} vertices, {comps.elapsed_ns / 1e3:.1f} us simulated)"
     )
 
-    cores = kcore.run_atos(graph, PERSIST_WARP)
+    cores = run_app("kcore", graph, PERSIST_WARP)
     assert kcore.validate_core_numbers(graph, cores.output)
     print(
         f"k-core: max core {cores.extra['max_core']}; "
@@ -46,7 +46,7 @@ def main() -> None:
         )
     )
 
-    sample = mis.run_atos(graph, PERSIST_WARP)
+    sample = run_app("mis", graph, PERSIST_WARP)
     assert mis.validate_mis(graph, sample.output)
     print(
         f"maximal independent set: {sample.extra['mis_size']} vertices "

@@ -20,7 +20,7 @@ Run:  python examples/task_pipeline.py
 import numpy as np
 
 from repro import PERSIST_CTA, PERSIST_WARP
-from repro.apps import sssp
+from repro.apps import run_app, sssp
 from repro.core.dag import Dag, DagKernel
 from repro.core.policy import run_policy
 from repro.graph.generators import road_network
@@ -32,7 +32,7 @@ def sssp_demo() -> None:
     weights = sssp.random_weights(graph, low=1.0, high=25.0, seed=3)
 
     bf = sssp.run_bellman_ford(graph, weights=weights)
-    spec_run = sssp.run_atos(graph, PERSIST_CTA, weights=weights)
+    spec_run = run_app("sssp", graph, PERSIST_CTA, weights=weights)
     assert sssp.validate_distances(graph, weights, bf.output)
     assert sssp.validate_distances(graph, weights, spec_run.output)
 

@@ -5,10 +5,12 @@ Each application module provides:
 * an **Atos task kernel** implementing :class:`repro.core.TaskKernel` —
   the relaxed-barrier formulation (speculative BFS, asynchronous PageRank,
   asynchronous speculative coloring);
-* a **BSP implementation** — the Gunrock-style baseline (or, for coloring,
-  the paper's own BSP speculative-greedy implementation, since Gunrock's
-  independent-set coloring is not comparable);
-* a ``run_atos`` / ``run_bsp`` pair returning an :class:`AppResult` with
+* a **BSP runner** — the Gunrock-style baseline (or, for coloring, the
+  paper's own BSP speculative-greedy implementation, since Gunrock's
+  independent-set coloring is not comparable) — that drives a
+  :class:`~repro.bsp.engine.BspTimeline` and reads its result off it;
+* an :class:`AppAdapter` registering both, so :func:`run_app` runs the
+  app under any configuration and returns an :class:`AppResult` with
   timing, workload and correctness artifacts;
 * validators that check the algorithm-level invariants (exact BFS depths,
   PageRank fixed point, proper coloring).

@@ -26,11 +26,11 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
+    degree_work,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
@@ -38,7 +38,6 @@ from repro.sim.spec import V100_SPEC, GpuSpec
 __all__ = [
     "UNREACHED",
     "SpeculativeBfsKernel",
-    "run_atos",
     "run_bsp",
     "reference_depths",
     "validate_depths",
@@ -64,13 +63,7 @@ class SpeculativeBfsKernel:
     def initial_items(self) -> np.ndarray:
         return np.asarray([self.source], dtype=np.int64)
 
-    def work_estimate(self, items: np.ndarray) -> tuple[int, int]:
-        if items.size == 1:
-            v = int(items[0])
-            deg = int(self.graph.indptr[v + 1] - self.graph.indptr[v])
-            return deg, deg
-        degrees = self.graph.indptr[items + 1] - self.graph.indptr[items]
-        return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
+    work_estimate = degree_work
 
     def on_read(self, items: np.ndarray, t: float):
         g = self.graph
@@ -131,24 +124,6 @@ class SpeculativeBfsKernel:
         return EMPTY_ITEMS  # BFS quiesces exactly when the queue drains
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    source: int = 0,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Speculative BFS under an Atos configuration.
-
-    ``sink`` attaches an observability sink (see :mod:`repro.obs`).
-    """
-    return run_app(
-        "bfs", graph, config, spec=spec, max_tasks=max_tasks, sink=sink, source=source
-    )
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -182,14 +157,10 @@ def run_bsp(
     depth[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    edges_traversed = 0
-    items = 0
 
     while frontier.size:
         _, nbrs = graph.gather_neighbors(frontier)
         edge_count = int(nbrs.size)
-        edges_traversed += edge_count
-        items += int(frontier.size)
         level = int(depth[frontier[0]])  # strict level synchrony
         # advance kernel: relax all frontier edges
         timeline.kernel(
@@ -218,18 +189,7 @@ def run_bsp(
         timeline.end_iteration()
         frontier = fresh
 
-    return AppResult(
-        app="bfs",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_traversed),
-        items_retired=items,
-        iterations=timeline.iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=depth,
-        trace=timeline.trace,
-    )
+    return bsp_result("bfs", "BSP", graph, timeline, depth)
 
 
 def _run_bsp_direction_optimized(
@@ -259,8 +219,6 @@ def _run_bsp_direction_optimized(
     depth[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    edges_traversed = 0
-    items = 0
     level = 0
     pull_iterations = 0
 
@@ -291,8 +249,6 @@ def _run_bsp_direction_optimized(
                 fresh = np.unique(nbrs[improved])
             else:
                 fresh = EMPTY_ITEMS
-        edges_traversed += edge_count
-        items += int(frontier.size)
         if fresh.size:
             depth[fresh] = level + 1
         timeline.kernel(
@@ -309,18 +265,8 @@ def _run_bsp_direction_optimized(
         frontier = fresh
         level += 1
 
-    return AppResult(
-        app="bfs",
-        impl="BSP-DO",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_traversed),
-        items_retired=items,
-        iterations=timeline.iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=depth,
-        trace=timeline.trace,
-        extra={"pull_iterations": pull_iterations},
+    return bsp_result(
+        "bfs", "BSP-DO", graph, timeline, depth, extra={"pull_iterations": pull_iterations}
     )
 
 

@@ -22,18 +22,17 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
+    degree_work,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
     "AsyncCcKernel",
-    "run_atos",
     "run_bsp",
     "reference_components",
     "validate_components",
@@ -46,18 +45,12 @@ class AsyncCcKernel:
     def __init__(self, graph: Csr) -> None:
         self.graph = graph
         self.labels = np.arange(graph.num_vertices, dtype=np.int64)
-        self.out_deg = graph.out_degrees()
         self.edges_propagated = 0
 
     def initial_items(self) -> np.ndarray:
         return np.arange(self.graph.num_vertices, dtype=np.int64)
 
-    def work_estimate(self, items: np.ndarray) -> tuple[int, int]:
-        if items.size == 1:
-            deg = self.out_deg.item(items.item(0))
-            return deg, deg
-        degrees = self.graph.indptr[items + 1] - self.graph.indptr[items]
-        return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
+    work_estimate = degree_work
 
     def on_read(self, items: np.ndarray, t: float):
         g = self.graph
@@ -120,29 +113,6 @@ class AsyncCcKernel:
         return EMPTY_ITEMS
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Asynchronous connected components under an Atos configuration."""
-    return run_app("cc", graph, config, spec=spec, max_tasks=max_tasks, sink=sink)
-
-
-register_app(AppAdapter(
-    name="cc",
-    description="connected components via min-label propagation",
-    make_kernel=lambda graph: AsyncCcKernel(graph),
-    output=lambda k: k.labels,
-    work_units=lambda k: k.edges_propagated,
-    extra=lambda k: {"num_components": int(np.unique(k.labels).size)},
-    bsp=lambda graph, **kw: run_bsp(graph, **kw),
-))
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -154,20 +124,14 @@ def run_bsp(
     labels = np.arange(n, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    edges_propagated = 0
-    items = 0
-    iterations = 0
     limit = max_iterations if max_iterations is not None else n + 1
 
     while frontier.size:
-        iterations += 1
-        if iterations > limit:
+        if timeline.iterations >= limit:
             raise RuntimeError("label propagation failed to converge")
         pos, flat, _ = graph.segments(frontier)
         nbrs = graph.indices[flat]
         edge_count = int(nbrs.size)
-        edges_propagated += edge_count
-        items += int(frontier.size)
         if edge_count:
             cand = labels[frontier][pos]
             before = labels[nbrs].copy()
@@ -186,19 +150,21 @@ def run_bsp(
         timeline.end_iteration()
         frontier = improved
 
-    return AppResult(
-        app="cc",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_propagated),
-        items_retired=items,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=labels,
-        trace=timeline.trace,
+    return bsp_result(
+        "cc", "BSP", graph, timeline, labels,
         extra={"num_components": int(np.unique(labels).size)},
     )
+
+
+register_app(AppAdapter(
+    name="cc",
+    description="connected components via min-label propagation",
+    make_kernel=lambda graph: AsyncCcKernel(graph),
+    output=lambda k: k.labels,
+    work_units=lambda k: k.edges_propagated,
+    extra=lambda k: {"num_components": int(np.unique(k.labels).size)},
+    bsp=run_bsp,
+))
 
 
 def reference_components(graph: Csr) -> np.ndarray:

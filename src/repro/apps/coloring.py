@@ -43,8 +43,8 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
 from repro.bsp.loadbalance import twc_buckets
@@ -56,7 +56,6 @@ from repro.sim.spec import V100_SPEC, GpuSpec
 __all__ = [
     "UNCOLORED",
     "AsyncColoringKernel",
-    "run_atos",
     "run_bsp",
     "validate_coloring",
     "count_conflicts",
@@ -252,37 +251,6 @@ def _tune_config(config: AtosConfig) -> AtosConfig:
     return config.with_overrides(registers_per_thread=regs, shared_mem_per_cta=smem)
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Asynchronous speculative coloring under an Atos configuration.
-
-    Register/shared-memory budgets follow the paper's Section 6.3 report
-    (see :func:`_tune_config`).
-    """
-    return run_app("coloring", graph, config, spec=spec, max_tasks=max_tasks, sink=sink)
-
-
-register_app(AppAdapter(
-    name="coloring",
-    description="speculative greedy coloring (uberkernel vs. BSP rounds)",
-    make_kernel=lambda graph: AsyncColoringKernel(graph),
-    output=lambda k: k.colors,
-    work_units=lambda k: k.assignments,
-    extra=lambda k: {
-        "conflict_checks": k.conflict_checks,
-        "num_colors": int(k.colors.max()) + 1,
-    },
-    bsp=lambda graph, **kw: run_bsp(graph, **kw),
-    tune_config=_tune_config,
-))
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -300,17 +268,11 @@ def run_bsp(
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    assignments = 0
-    items = 0
-    iterations = 0
 
     while frontier.size:
-        iterations += 1
-        if iterations > max_iterations:
+        if timeline.iterations >= max_iterations:
             raise RuntimeError("BSP coloring failed to converge")
         edge_count = graph.frontier_edges(frontier)
-        items += int(frontier.size)
-        assignments += int(frontier.size)
         # kernel 1: assignment, sub-bucket by degree class (buckets
         # serialize against each other), processed in simultaneous waves —
         # items within a wave share one snapshot, successive waves see
@@ -340,16 +302,22 @@ def run_bsp(
         timeline.end_iteration()
         frontier = frontier[conflicted]
 
-    return AppResult(
-        app="coloring",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(assignments),
-        items_retired=items,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=colors,
-        trace=timeline.trace,
+    return bsp_result(
+        "coloring", "BSP", graph, timeline, colors,
         extra={"num_colors": int(colors.max()) + 1},
     )
+
+
+register_app(AppAdapter(
+    name="coloring",
+    description="speculative greedy coloring (uberkernel vs. BSP rounds)",
+    make_kernel=lambda graph: AsyncColoringKernel(graph),
+    output=lambda k: k.colors,
+    work_units=lambda k: k.assignments,
+    extra=lambda k: {
+        "conflict_checks": k.conflict_checks,
+        "num_colors": int(k.colors.max()) + 1,
+    },
+    bsp=run_bsp,
+    tune_config=_tune_config,
+))

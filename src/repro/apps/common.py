@@ -1,9 +1,8 @@
 """Shared application plumbing: result records, the app registry, the run path.
 
-Every application used to carry its own ``run_atos`` glue — construct the
-kernel, call the scheduler, copy a dozen ``RunResult`` fields into an
-:class:`AppResult`.  The :class:`AppAdapter` registry replaces those
-copies with one dispatch path:
+An application module gives the framework its task kernel, its BSP
+frontier runner and an :class:`AppAdapter` naming both; the framework
+launches every run and keeps its books.  One dispatch path:
 
 * an adapter describes how to build the app's task kernel, read its
   artifact/work counters, and (optionally) run its BSP frontier engine;
@@ -14,7 +13,11 @@ copies with one dispatch path:
   per edit batch, and assembles one uniform :class:`AppResult` per epoch
   — including one consistent ``extra`` metrics block for every app;
 * :func:`run_app` is the static case: a replay with no edit batches,
-  returning its one epoch.
+  returning its one epoch — the call a library user makes, as
+  ``run_app("bfs", graph, config, source=0)``;
+* :func:`bsp_result` reads a BSP runner's result off its finished
+  :class:`~repro.bsp.engine.BspTimeline`, and :func:`degree_work` is the
+  cost lookup the traversal kernels share.
 
 App modules self-register at import time (``register_app`` at module
 bottom); importing :mod:`repro.apps` loads all eight.
@@ -29,6 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.bsp.engine import BspTimeline
 from repro.core.config import AtosConfig
 from repro.core.engine import RunResult
 from repro.core.policy import policy_for, run_policy
@@ -41,6 +45,8 @@ from repro.sim.trace import ThroughputTrace
 __all__ = [
     "AppResult",
     "EMPTY_ITEMS",
+    "bsp_result",
+    "degree_work",
     "AppAdapter",
     "APP_REGISTRY",
     "register_app",
@@ -94,6 +100,53 @@ class AppResult:
         if baseline_work <= 0:
             raise ValueError("baseline work must be positive")
         return self.work_units / baseline_work
+
+
+def bsp_result(
+    app: str,
+    impl: str,
+    graph: Csr,
+    timeline: BspTimeline,
+    output: np.ndarray,
+    *,
+    iterations: int | None = None,
+    extra: dict[str, Any] | None = None,
+) -> AppResult:
+    """A finished BSP run as an :class:`AppResult`, its books read off ``timeline``.
+
+    ``iterations`` defaults to the timeline's; a runner whose outer loop
+    also counts passes that launch no kernel passes its own count.
+    """
+    return AppResult(
+        app=app,
+        impl=impl,
+        dataset=graph.name,
+        elapsed_ns=timeline.now,
+        work_units=float(timeline.work_units),
+        items_retired=timeline.items_retired,
+        iterations=timeline.iterations if iterations is None else iterations,
+        kernel_launches=timeline.kernel_launches,
+        output=output,
+        trace=timeline.trace,
+        extra={} if extra is None else extra,
+    )
+
+
+def degree_work(kernel, items: np.ndarray) -> tuple[int, int]:
+    """``work_estimate`` of a kernel whose task cost is its items' out-degrees.
+
+    A kernel class shares it as its method (``work_estimate =
+    degree_work``), so the engine's one call per task stays one call.  It
+    reads ``kernel.graph`` on every call, so a ``rebase`` onto a new
+    snapshot cannot leave it stale.
+    """
+    ip = kernel.graph.indptr
+    if items.size == 1:
+        v = int(items[0])
+        deg = int(ip[v + 1] - ip[v])
+        return deg, deg
+    degrees = ip[items + 1] - ip[items]
+    return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import EMPTY_ITEMS, AppAdapter, AppResult, register_app
+from repro.apps.common import EMPTY_ITEMS, AppAdapter, AppResult, bsp_result, register_app
 from repro.apps.sssp import UNREACHED, uniform_weights
 from repro.bsp.engine import BspTimeline
 from repro.graph.csr import Csr
@@ -74,8 +74,6 @@ def run_delta_stepping(
     worklist = BucketedWorklist(delta, atomic_ns=spec.atomic_queue_ns)
     timeline = BspTimeline(spec=spec)
     worklist.push(np.asarray([source], dtype=np.int64), np.asarray([0.0]), timeline.now)
-    edges_relaxed = 0
-    items = 0
     rounds = 0
     limit = max_rounds if max_rounds is not None else 50 * n + 100
 
@@ -96,8 +94,6 @@ def run_delta_stepping(
             continue
         pos, flat, _ = graph.segments(live)
         total = flat.size
-        edges_relaxed += total
-        items += int(live.size)
         if total:
             nbrs = graph.indices[flat]
             cand = dist[live][pos] + weights[flat]
@@ -118,18 +114,10 @@ def run_delta_stepping(
         if improved.size:
             worklist.push(improved, dist[improved], timeline.now)
 
-    return AppResult(
-        app="sssp",
-        impl=f"delta-stepping(d={delta:.2g})",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_relaxed),
-        items_retired=items,
-        iterations=rounds,
-        kernel_launches=timeline.kernel_launches,
-        output=dist,
-        trace=timeline.trace,
-        extra={"delta": delta},
+    # rounds also counts the pops that lazy deletion emptied (no kernel)
+    return bsp_result(
+        "sssp", f"delta-stepping(d={delta:.2g})", graph, timeline, dist,
+        iterations=rounds, extra={"delta": delta},
     )
 
 
@@ -137,5 +125,5 @@ register_app(AppAdapter(
     name="delta-sssp",
     description="bucket-synchronous delta-stepping SSSP (BSP-only)",
     make_kernel=None,
-    bsp=lambda graph, **kw: run_delta_stepping(graph, **kw),
+    bsp=run_delta_stepping,
 ))

@@ -159,7 +159,6 @@ class IncrementalCcKernel(AsyncCcKernel):
         if applied.inserted.size:
             seeds.append(np.unique(applied.inserted.ravel()))
         self.graph = graph
-        self.out_deg = graph.out_degrees()
         self._pending = (
             np.unique(np.concatenate(seeds)) if seeds else EMPTY_ITEMS
         )

@@ -24,18 +24,17 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
+    degree_work,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
     "AsyncKcoreKernel",
-    "run_atos",
     "run_bsp",
     "reference_core_numbers",
     "validate_core_numbers",
@@ -70,13 +69,7 @@ class AsyncKcoreKernel:
         self.in_queue[seeds] = True
         return seeds.astype(np.int64)
 
-    def work_estimate(self, items: np.ndarray) -> tuple[int, int]:
-        if items.size == 1:
-            v = int(items[0])
-            deg = int(self.graph.indptr[v + 1] - self.graph.indptr[v])
-            return deg, deg
-        degrees = self.graph.indptr[items + 1] - self.graph.indptr[items]
-        return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
+    work_estimate = degree_work
 
     def on_read(self, items: np.ndarray, t: float):
         # claim: mark peeled now (atomic CAS on core) so a vertex peels
@@ -126,29 +119,6 @@ class AsyncKcoreKernel:
         return EMPTY_ITEMS
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Asynchronous k-core decomposition under an Atos configuration."""
-    return run_app("kcore", graph, config, spec=spec, max_tasks=max_tasks, sink=sink)
-
-
-register_app(AppAdapter(
-    name="kcore",
-    description="k-core decomposition by asynchronous peeling",
-    make_kernel=lambda graph: AsyncKcoreKernel(graph),
-    output=lambda k: k.core,
-    work_units=lambda k: k.edges_touched,
-    extra=lambda k: {"max_core": int(k.core.max()) if k.core.size else 0},
-    bsp=lambda graph, **kw: run_bsp(graph, **kw),
-))
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -163,8 +133,6 @@ def run_bsp(
     core = np.full(n, -1, dtype=np.int64)
     k = 0
     timeline = BspTimeline(spec=spec)
-    edges_touched = 0
-    items = 0
     iterations = 0
     limit = max_iterations if max_iterations is not None else 10 * n + 100
 
@@ -178,8 +146,6 @@ def run_bsp(
             continue
         core[frontier] = max(k - 1, 0)
         _, nbrs = graph.gather_neighbors(frontier)
-        edges_touched += int(nbrs.size)
-        items += int(frontier.size)
         if nbrs.size:
             np.subtract.at(eff, nbrs, 1)
         timeline.kernel(
@@ -192,19 +158,22 @@ def run_bsp(
         timeline.barrier()
         timeline.end_iteration()
 
-    return AppResult(
-        app="kcore",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_touched),
-        items_retired=items,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=core,
-        trace=timeline.trace,
+    # iterations also counts the passes that only raise k (no kernel)
+    return bsp_result(
+        "kcore", "BSP", graph, timeline, core, iterations=iterations,
         extra={"max_core": int(core.max()) if core.size else 0},
     )
+
+
+register_app(AppAdapter(
+    name="kcore",
+    description="k-core decomposition by asynchronous peeling",
+    make_kernel=lambda graph: AsyncKcoreKernel(graph),
+    output=lambda k: k.core,
+    work_units=lambda k: k.edges_touched,
+    extra=lambda k: {"max_core": int(k.core.max()) if k.core.size else 0},
+    bsp=run_bsp,
+))
 
 
 def reference_core_numbers(graph: Csr) -> np.ndarray:

@@ -22,18 +22,17 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
+    degree_work,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
     "AsyncMisKernel",
-    "run_atos",
     "run_bsp",
     "reference_mis",
     "validate_mis",
@@ -66,13 +65,7 @@ class AsyncMisKernel:
     def initial_items(self) -> np.ndarray:
         return np.arange(self.graph.num_vertices, dtype=np.int64)
 
-    def work_estimate(self, items: np.ndarray) -> tuple[int, int]:
-        if items.size == 1:
-            v = int(items[0])
-            deg = int(self.graph.indptr[v + 1] - self.graph.indptr[v])
-            return deg, deg
-        degrees = self.graph.indptr[items + 1] - self.graph.indptr[items]
-        return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
+    work_estimate = degree_work
 
     def _evaluate(self, v: int) -> int:
         g = self.graph
@@ -145,29 +138,6 @@ class AsyncMisKernel:
         return bad
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Asynchronous lexicographic MIS under an Atos configuration."""
-    return run_app("mis", graph, config, spec=spec, max_tasks=max_tasks, sink=sink)
-
-
-register_app(AppAdapter(
-    name="mis",
-    description="lexicographically-first maximal independent set",
-    make_kernel=lambda graph: AsyncMisKernel(graph),
-    output=lambda k: k.status.astype(np.int64),
-    work_units=lambda k: k.evaluations,
-    extra=lambda k: {"mis_size": int(k.status.sum())},
-    bsp=lambda graph, **kw: run_bsp(graph, **kw),
-))
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -179,16 +149,12 @@ def run_bsp(
     status = np.zeros(n, dtype=np.int8)
     frontier = np.arange(n, dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    evaluations = 0
-    iterations = 0
     limit = max_iterations if max_iterations is not None else n + 2
 
     while frontier.size:
-        iterations += 1
-        if iterations > limit:
+        if timeline.iterations >= limit:
             raise RuntimeError("MIS iteration failed to converge")
         decided = _decide(graph, status, frontier)
-        evaluations += int(frontier.size)
         changed = frontier[status[frontier] != decided]
         status[frontier] = decided
         edge_count = graph.frontier_edges(frontier)
@@ -207,19 +173,21 @@ def run_bsp(
         nbrs = graph.indices[flat]
         frontier = np.unique(nbrs[nbrs > changed[pos]])
 
-    return AppResult(
-        app="mis",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(evaluations),
-        items_retired=evaluations,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=status.astype(np.int64),
-        trace=timeline.trace,
+    return bsp_result(
+        "mis", "BSP", graph, timeline, status.astype(np.int64),
         extra={"mis_size": int(status.sum())},
     )
+
+
+register_app(AppAdapter(
+    name="mis",
+    description="lexicographically-first maximal independent set",
+    make_kernel=lambda graph: AsyncMisKernel(graph),
+    output=lambda k: k.status.astype(np.int64),
+    work_units=lambda k: k.evaluations,
+    extra=lambda k: {"mis_size": int(k.status.sum())},
+    bsp=run_bsp,
+))
 
 
 def reference_mis(graph: Csr) -> np.ndarray:

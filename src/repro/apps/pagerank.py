@@ -34,18 +34,16 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
 
 __all__ = [
     "AsyncPageRankKernel",
-    "run_atos",
     "run_bsp",
     "reference_ranks",
     "max_rank_error",
@@ -287,31 +285,6 @@ class AsyncPageRankKernel:
         return dirty.astype(np.int64)
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    lam: float = DEFAULT_LAMBDA,
-    epsilon: float = DEFAULT_EPSILON,
-    check_size: int = 64,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Asynchronous PageRank under an Atos configuration."""
-    return run_app(
-        "pagerank",
-        graph,
-        config,
-        spec=spec,
-        max_tasks=max_tasks,
-        sink=sink,
-        lam=lam,
-        epsilon=epsilon,
-        check_size=check_size,
-    )
-
-
 def run_bsp(
     graph: Csr,
     *,
@@ -333,13 +306,9 @@ def run_bsp(
     out_deg = graph.out_degrees()
     frontier = np.arange(n, dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    edges_traversed = 0
-    items = 0
-    iterations = 0
 
     while frontier.size:
-        iterations += 1
-        if iterations > max_iterations:
+        if timeline.iterations >= max_iterations:
             raise RuntimeError("BSP PageRank failed to converge")
         res = residue[frontier].copy()
         residue[frontier] = 0.0
@@ -348,8 +317,6 @@ def run_bsp(
         active = (res > 0.0) & (degrees > 0)
         act = frontier[active]
         edge_count = int(degrees[active].sum())
-        edges_traversed += edge_count
-        items += int(frontier.size)
         if edge_count:
             _, nbrs = graph.gather_neighbors(act)
             contrib_per_src = lam * res[active] / degrees[active]
@@ -371,17 +338,8 @@ def run_bsp(
         timeline.end_iteration()
         frontier = np.flatnonzero(residue > epsilon).astype(np.int64)
 
-    return AppResult(
-        app="pagerank",
-        impl="BSP",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_traversed),
-        items_retired=items,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=rank,
-        trace=timeline.trace,
+    return bsp_result(
+        "pagerank", "BSP", graph, timeline, rank,
         extra={"residue_left": float(residue.max())},
     )
 

@@ -25,11 +25,11 @@ from repro.apps.common import (
     EMPTY_ITEMS,
     AppAdapter,
     AppResult,
+    bsp_result,
+    degree_work,
     register_app,
-    run_app,
 )
 from repro.bsp.engine import BspTimeline
-from repro.core.config import AtosConfig
 from repro.core.kernel import CompletionResult
 from repro.graph.csr import Csr
 from repro.sim.spec import V100_SPEC, GpuSpec
@@ -39,7 +39,6 @@ __all__ = [
     "uniform_weights",
     "random_weights",
     "SpeculativeSsspKernel",
-    "run_atos",
     "run_bellman_ford",
     "reference_distances",
     "validate_distances",
@@ -91,13 +90,7 @@ class SpeculativeSsspKernel:
     def initial_items(self) -> np.ndarray:
         return np.asarray([self.source], dtype=np.int64)
 
-    def work_estimate(self, items: np.ndarray) -> tuple[int, int]:
-        if items.size == 1:
-            v = int(items[0])
-            deg = int(self.graph.indptr[v + 1] - self.graph.indptr[v])
-            return deg, deg
-        degrees = self.graph.indptr[items + 1] - self.graph.indptr[items]
-        return int(degrees.sum()), int(degrees.max()) if degrees.size else 0
+    work_estimate = degree_work
 
     def on_read(self, items: np.ndarray, t: float):
         g = self.graph
@@ -150,39 +143,6 @@ def _make_kernel(graph: Csr, weights=None, source: int = 0) -> SpeculativeSsspKe
     return SpeculativeSsspKernel(graph, weights, source)
 
 
-def run_atos(
-    graph: Csr,
-    config: AtosConfig,
-    *,
-    weights: np.ndarray | None = None,
-    source: int = 0,
-    spec: GpuSpec = V100_SPEC,
-    max_tasks: int = 20_000_000,
-    sink=None,
-) -> AppResult:
-    """Speculative SSSP under an Atos configuration."""
-    return run_app(
-        "sssp",
-        graph,
-        config,
-        spec=spec,
-        max_tasks=max_tasks,
-        sink=sink,
-        weights=weights,
-        source=source,
-    )
-
-
-register_app(AppAdapter(
-    name="sssp",
-    description="single-source shortest paths (speculative vs. Bellman-Ford)",
-    make_kernel=_make_kernel,
-    output=lambda k: k.dist,
-    work_units=lambda k: k.edges_relaxed,
-    bsp=lambda graph, **kw: run_bellman_ford(graph, **kw),
-))
-
-
 def run_bellman_ford(
     graph: Csr,
     *,
@@ -210,19 +170,13 @@ def run_bellman_ford(
     dist[source] = 0.0
     frontier = np.asarray([source], dtype=np.int64)
     timeline = BspTimeline(spec=spec)
-    edges_relaxed = 0
-    items = 0
-    iterations = 0
     limit = max_iterations if max_iterations is not None else n + 1
 
     while frontier.size:
-        iterations += 1
-        if iterations > limit:
+        if timeline.iterations >= limit:
             raise RuntimeError("Bellman-Ford exceeded its iteration bound")
         pos, flat, _ = graph.segments(frontier)
         total = flat.size
-        edges_relaxed += total
-        items += int(frontier.size)
         if total:
             nbrs = graph.indices[flat]
             cand = dist[frontier][pos] + weights[flat]
@@ -243,18 +197,17 @@ def run_bellman_ford(
         timeline.end_iteration()
         frontier = improved
 
-    return AppResult(
-        app="sssp",
-        impl="bellman-ford",
-        dataset=graph.name,
-        elapsed_ns=timeline.now,
-        work_units=float(edges_relaxed),
-        items_retired=items,
-        iterations=iterations,
-        kernel_launches=timeline.kernel_launches,
-        output=dist,
-        trace=timeline.trace,
-    )
+    return bsp_result("sssp", "bellman-ford", graph, timeline, dist)
+
+
+register_app(AppAdapter(
+    name="sssp",
+    description="single-source shortest paths (speculative vs. Bellman-Ford)",
+    make_kernel=_make_kernel,
+    output=lambda k: k.dist,
+    work_units=lambda k: k.edges_relaxed,
+    bsp=run_bellman_ford,
+))
 
 
 def reference_distances(

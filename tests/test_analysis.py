@@ -7,7 +7,7 @@ from repro.analysis.challenges import classify_challenges, low_throughput_fracti
 from repro.analysis.overwork import coloring_workload_ratio, workload_ratio
 from repro.analysis.tables import format_table
 from repro.analysis.throughput import normalized_series, render_figure, series_csv
-from repro.apps import bfs, coloring
+from repro.apps import bfs, coloring, run_app
 from repro.apps.common import AppResult
 from repro.graph.generators import grid_mesh, rmat
 from repro.sim.spec import GpuSpec
@@ -61,7 +61,7 @@ class TestOverwork:
         base = bfs.run_bsp(g, spec=SPEC)
         from repro.core.config import PERSIST_WARP
 
-        res = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         assert workload_ratio(res, base) >= 1.0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import bfs
+from repro.apps import bfs, run_app
 from repro.core.config import (
     DISCRETE_CTA,
     PERSIST_CTA,
@@ -68,52 +68,52 @@ class TestSpeculativeBfs:
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_exact_depths_grid(self, cfg):
         g = grid_mesh(8, 8)
-        res = bfs.run_atos(g, cfg, spec=SPEC)
+        res = run_app("bfs", g, cfg, spec=SPEC)
         assert bfs.validate_depths(g, res.output)
 
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_exact_depths_rmat(self, cfg):
         g = rmat(8, edge_factor=6, seed=4)
-        res = bfs.run_atos(g, cfg, spec=SPEC)
+        res = run_app("bfs", g, cfg, spec=SPEC)
         assert bfs.validate_depths(g, res.output)
 
     def test_overwork_at_least_bsp_work(self):
         """Speculation can only add edge traversals, never remove them."""
         g = grid_mesh(10, 10)
         base = bfs.run_bsp(g, spec=SPEC)
-        res = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         assert res.work_units >= base.work_units
 
     def test_deterministic(self):
         g = rmat(7, edge_factor=4, seed=1)
-        r1 = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
-        r2 = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        r1 = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
+        r2 = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         assert r1.elapsed_ns == r2.elapsed_ns
         assert r1.work_units == r2.work_units
 
     def test_custom_source(self):
         g = path_graph(6)
-        res = bfs.run_atos(g, PERSIST_WARP, source=5, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, source=5, spec=SPEC)
         assert list(res.output) == [5, 4, 3, 2, 1, 0]
 
     def test_bad_source(self):
         with pytest.raises(ValueError):
-            bfs.run_atos(path_graph(3), PERSIST_WARP, source=-1, spec=SPEC)
+            run_app("bfs", path_graph(3), PERSIST_WARP, source=-1, spec=SPEC)
 
     def test_unreachable_left_unvisited(self):
         g = from_edges(4, [(0, 1), (1, 0)])
-        res = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         assert res.output[2] == bfs.UNREACHED
 
     def test_discrete_generations_track_levels(self):
         g = path_graph(10)
-        res = bfs.run_atos(g, DISCRETE_CTA, spec=SPEC)
+        res = run_app("bfs", g, DISCRETE_CTA, spec=SPEC)
         # one generation per BFS level (chain graph), incl. the last vertex's
         assert res.iterations == 10
 
     def test_persistent_single_launch(self):
         g = grid_mesh(5, 5)
-        res = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         assert res.kernel_launches == 1
 
     def test_thread_worker_variant(self):
@@ -122,12 +122,12 @@ class TestSpeculativeBfs:
             name="persist-thread",
         )
         g = grid_mesh(5, 5)
-        res = bfs.run_atos(g, cfg, spec=SPEC)
+        res = run_app("bfs", g, cfg, spec=SPEC)
         assert bfs.validate_depths(g, res.output)
 
     def test_result_metadata(self):
         g = grid_mesh(4, 4)
-        res = bfs.run_atos(g, PERSIST_CTA, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_CTA, spec=SPEC)
         assert res.app == "bfs"
         assert res.impl == "persist-CTA"
         assert res.extra["worker_slots"] > 0
@@ -141,16 +141,16 @@ class TestMeshVsScaleFreeShape:
         """Persistent Atos beats BSP on a high-diameter mesh (Table 1)."""
         g = grid_mesh(40, 5)  # diameter 43
         base = bfs.run_bsp(g, spec=SPEC)
-        res = bfs.run_atos(g, PERSIST_CTA, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_CTA, spec=SPEC)
         assert res.elapsed_ns < base.elapsed_ns
 
     def test_bsp_competitive_on_scale_free(self):
         """On low-diameter scale-free graphs the gap shrinks or reverses."""
         g = rmat(9, edge_factor=8, seed=3)
         base = bfs.run_bsp(g, spec=SPEC)
-        res = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         mesh = grid_mesh(40, 5)
-        mesh_gain = bfs.run_bsp(mesh, spec=SPEC).elapsed_ns / bfs.run_atos(
+        mesh_gain = bfs.run_bsp(mesh, spec=SPEC).elapsed_ns / run_app("bfs", 
             mesh, PERSIST_WARP, spec=SPEC
         ).elapsed_ns
         sf_gain = base.elapsed_ns / res.elapsed_ns

@@ -5,7 +5,7 @@ import pytest
 
 import networkx as nx
 
-from repro.apps import cc
+from repro.apps import cc, run_app
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import grid_mesh, path_graph, rmat
@@ -62,29 +62,29 @@ class TestAsyncCc:
     )
     def test_correct_on_rmat(self, cfg):
         g = rmat(7, edge_factor=4, seed=3)
-        res = cc.run_atos(g, cfg, spec=SPEC)
+        res = run_app("cc", g, cfg, spec=SPEC)
         assert cc.validate_components(g, res.output)
 
     def test_correct_on_disconnected(self):
         g = disconnected_graph()
-        res = cc.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("cc", g, PERSIST_WARP, spec=SPEC)
         assert cc.validate_components(g, res.output)
         assert res.extra["num_components"] == 3
 
     def test_deterministic(self):
         g = grid_mesh(6, 6)
-        a = cc.run_atos(g, PERSIST_CTA, spec=SPEC)
-        b = cc.run_atos(g, PERSIST_CTA, spec=SPEC)
+        a = run_app("cc", g, PERSIST_CTA, spec=SPEC)
+        b = run_app("cc", g, PERSIST_CTA, spec=SPEC)
         assert a.elapsed_ns == b.elapsed_ns
         assert np.array_equal(a.output, b.output)
 
     def test_labels_are_component_minima(self):
         g = grid_mesh(4, 4)
-        res = cc.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("cc", g, PERSIST_WARP, spec=SPEC)
         assert (res.output == 0).all()
 
     def test_work_at_least_edge_count(self):
         """Every edge must be traversed at least once overall."""
         g = grid_mesh(5, 5)
-        res = cc.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("cc", g, PERSIST_WARP, spec=SPEC)
         assert res.work_units >= g.num_edges

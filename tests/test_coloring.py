@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import coloring
+from repro.apps import coloring, run_app
 from repro.apps.coloring import _min_available_color
 from repro.core.config import DISCRETE_WARP, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
@@ -96,45 +96,45 @@ class TestAsyncColoring:
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_produces_proper_coloring_grid(self, cfg):
         g = grid_mesh(8, 8)
-        res = coloring.run_atos(g, cfg, spec=SPEC)
+        res = run_app("coloring", g, cfg, spec=SPEC)
         assert coloring.validate_coloring(g, res.output)
 
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_produces_proper_coloring_rmat(self, cfg):
         g = rmat(7, edge_factor=6, seed=3)
-        res = coloring.run_atos(g, cfg, spec=SPEC)
+        res = run_app("coloring", g, cfg, spec=SPEC)
         assert coloring.validate_coloring(g, res.output)
 
     def test_complete_graph(self):
         g = complete_graph(8)
-        res = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
         assert coloring.validate_coloring(g, res.output)
         assert res.extra["num_colors"] == 8
 
     def test_greedy_bound(self):
         """Greedy never uses more than max_degree + 1 colors."""
         g = rmat(7, edge_factor=4, seed=9)
-        res = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
         assert res.extra["num_colors"] <= int(g.out_degrees().max()) + 1
 
     def test_deterministic(self):
         g = grid_mesh(6, 6)
-        r1 = coloring.run_atos(g, PERSIST_CTA, spec=SPEC)
-        r2 = coloring.run_atos(g, PERSIST_CTA, spec=SPEC)
+        r1 = run_app("coloring", g, PERSIST_CTA, spec=SPEC)
+        r2 = run_app("coloring", g, PERSIST_CTA, spec=SPEC)
         assert np.array_equal(r1.output, r2.output)
         assert r1.elapsed_ns == r2.elapsed_ns
 
     def test_work_counts_assignments(self):
         g = grid_mesh(5, 5)
-        res = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
         assert res.work_units >= g.num_vertices
         assert res.extra["conflict_checks"] >= g.num_vertices
 
     def test_register_budgets_applied(self):
         """Section 6.3: persistent 72 regs, discrete 42 -> occupancy gap."""
         g = grid_mesh(5, 5)
-        p = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
-        d = coloring.run_atos(g, DISCRETE_WARP, spec=SPEC)
+        p = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
+        d = run_app("coloring", g, DISCRETE_WARP, spec=SPEC)
         assert d.extra["occupancy"] > p.extra["occupancy"]
 
     def test_tag_encoding_roundtrip(self):
@@ -153,7 +153,7 @@ class TestAsyncColoring:
 
     def test_isolated_vertices_colored(self):
         g = from_edges(4, [(0, 1), (1, 0)])
-        res = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
         assert (res.output >= 0).all()
 
 
@@ -162,6 +162,6 @@ class TestOverworkShape:
         """Section 6.3 signature: launch-wave staleness makes the discrete
         strategy recolor at least as much as the persistent one."""
         g = grid_mesh(12, 12)  # strong id locality -> conflicts under waves
-        p = coloring.run_atos(g, PERSIST_WARP, spec=SPEC)
-        d = coloring.run_atos(g, DISCRETE_WARP, spec=SPEC)
+        p = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
+        d = run_app("coloring", g, DISCRETE_WARP, spec=SPEC)
         assert d.work_units >= p.work_units

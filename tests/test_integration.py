@@ -11,7 +11,7 @@ from repro import (
     Lab,
     load_dataset,
 )
-from repro.apps import bfs, coloring, pagerank
+from repro.apps import bfs, coloring, pagerank, run_app
 from repro.graph.permute import permute_vertices
 from repro.sim.spec import GpuSpec
 
@@ -29,7 +29,7 @@ class TestAllAppsAllDatasets:
     def test_bfs_all_variants(self, key):
         g = load_dataset(key, "tiny")
         for cfg in (PERSIST_WARP, PERSIST_CTA, DISCRETE_CTA):
-            res = bfs.run_atos(g, cfg, spec=SPEC)
+            res = run_app("bfs", g, cfg, spec=SPEC)
             assert bfs.validate_depths(g, res.output), (key, cfg.name)
 
     @pytest.mark.parametrize("key", ["soc-LiveJournal1", "roadNet-CA"])
@@ -37,14 +37,14 @@ class TestAllAppsAllDatasets:
         g = load_dataset(key, "tiny")
         bound = 1e-5 * g.num_vertices / (1 - pagerank.DEFAULT_LAMBDA)
         for cfg in (PERSIST_WARP, PERSIST_CTA, DISCRETE_CTA):
-            res = pagerank.run_atos(g, cfg, epsilon=1e-5, spec=SPEC)
+            res = run_app("pagerank", g, cfg, epsilon=1e-5, spec=SPEC)
             assert pagerank.max_rank_error(g, res.output) < bound, (key, cfg.name)
 
     @pytest.mark.parametrize("key", ["soc-LiveJournal1", "roadNet-CA"])
     def test_coloring_all_variants(self, key):
         g = load_dataset(key, "tiny")
         for cfg in (PERSIST_WARP, PERSIST_CTA, DISCRETE_WARP):
-            res = coloring.run_atos(g, cfg, spec=SPEC)
+            res = run_app("coloring", g, cfg, spec=SPEC)
             assert coloring.validate_coloring(g, res.output), (key, cfg.name)
 
 
@@ -56,14 +56,14 @@ class TestInvarianceUnderPermutation:
         g = load_dataset("roadNet-CA", "tiny")
         p = np.random.default_rng(3).permutation(g.num_vertices).astype(np.int64)
         pg = permute_vertices(g, p)
-        d = bfs.run_atos(g, PERSIST_WARP, source=0, spec=SPEC).output
-        dp = bfs.run_atos(pg, PERSIST_WARP, source=int(p[0]), spec=SPEC).output
+        d = run_app("bfs", g, PERSIST_WARP, source=0, spec=SPEC).output
+        dp = run_app("bfs", pg, PERSIST_WARP, source=int(p[0]), spec=SPEC).output
         assert np.array_equal(dp[p], d)
 
     def test_coloring_stays_proper_after_permutation(self):
         g = load_dataset("soc-LiveJournal1", "tiny")
         pg = permute_vertices(g, seed=11)
-        res = coloring.run_atos(pg, DISCRETE_WARP, spec=SPEC)
+        res = run_app("coloring", pg, DISCRETE_WARP, spec=SPEC)
         assert coloring.validate_coloring(pg, res.output)
 
 

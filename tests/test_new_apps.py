@@ -5,7 +5,7 @@ import pytest
 
 import networkx as nx
 
-from repro.apps import kcore, mis
+from repro.apps import kcore, mis, run_app
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
@@ -70,18 +70,18 @@ class TestKcore:
     )
     def test_atos_exact(self, cfg):
         g = rmat(7, edge_factor=4, seed=9)
-        res = kcore.run_atos(g, cfg, spec=SPEC)
+        res = run_app("kcore", g, cfg, spec=SPEC)
         assert kcore.validate_core_numbers(g, res.output)
 
     def test_atos_exact_on_grid(self):
         g = grid_mesh(7, 7)
-        res = kcore.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("kcore", g, PERSIST_WARP, spec=SPEC)
         assert kcore.validate_core_numbers(g, res.output)
 
     def test_deterministic(self):
         g = grid_mesh(5, 5)
-        a = kcore.run_atos(g, PERSIST_CTA, spec=SPEC)
-        b = kcore.run_atos(g, PERSIST_CTA, spec=SPEC)
+        a = run_app("kcore", g, PERSIST_CTA, spec=SPEC)
+        b = run_app("kcore", g, PERSIST_CTA, spec=SPEC)
         assert a.elapsed_ns == b.elapsed_ns
 
     def test_max_core_reported(self):
@@ -90,7 +90,7 @@ class TestKcore:
 
     def test_isolated_vertices(self):
         g = from_edges(4, [(0, 1), (1, 0)])
-        res = kcore.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("kcore", g, PERSIST_WARP, spec=SPEC)
         assert res.output[2] == 0 and res.output[3] == 0
         assert kcore.validate_core_numbers(g, res.output)
 
@@ -131,23 +131,23 @@ class TestMis:
     )
     def test_atos_matches_lexicographic(self, cfg):
         g = rmat(7, edge_factor=4, seed=5)
-        res = mis.run_atos(g, cfg, spec=SPEC)
+        res = run_app("mis", g, cfg, spec=SPEC)
         assert mis.validate_mis(g, res.output)
 
     def test_atos_on_grid(self):
         g = grid_mesh(8, 8)
-        res = mis.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("mis", g, PERSIST_WARP, spec=SPEC)
         assert mis.validate_mis(g, res.output)
 
     def test_speculation_overwork_measured(self):
         """Chaotic evaluation re-evaluates at least |V| times."""
         g = rmat(7, edge_factor=4, seed=5)
-        res = mis.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("mis", g, PERSIST_WARP, spec=SPEC)
         assert res.work_units >= g.num_vertices
 
     def test_deterministic(self):
         g = grid_mesh(6, 6)
-        a = mis.run_atos(g, PERSIST_WARP, spec=SPEC)
-        b = mis.run_atos(g, PERSIST_WARP, spec=SPEC)
+        a = run_app("mis", g, PERSIST_WARP, spec=SPEC)
+        b = run_app("mis", g, PERSIST_WARP, spec=SPEC)
         assert np.array_equal(a.output, b.output)
         assert a.elapsed_ns == b.elapsed_ns

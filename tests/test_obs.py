@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro import __main__ as cli
-from repro.apps import bfs
+from repro.apps import run_app
 from repro.core.config import DISCRETE_WARP, PERSIST_WARP
 from repro.core.policy import run_policy
 from repro.graph.generators import grid_mesh, rmat
@@ -38,7 +38,7 @@ SPEC = GpuSpec(num_sms=2, mem_edges_per_ns=0.5)
 def _traced_bfs(config, seed=3):
     g = rmat(7, edge_factor=4, seed=seed)
     sink = Collector()
-    res = bfs.run_atos(g, config, spec=SPEC, sink=sink)
+    res = run_app("bfs", g, config, spec=SPEC, sink=sink)
     return res, sink
 
 
@@ -89,8 +89,8 @@ class TestDeterminism:
 class TestZeroOverheadDisabled:
     def test_no_sink_is_default_and_result_identical(self):
         g = grid_mesh(8, 8)
-        plain = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
-        traced = bfs.run_atos(g, PERSIST_WARP, spec=SPEC, sink=Collector())
+        plain = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
+        traced = run_app("bfs", g, PERSIST_WARP, spec=SPEC, sink=Collector())
         assert plain.elapsed_ns == traced.elapsed_ns
         assert plain.items_retired == traced.items_retired
 
@@ -104,7 +104,7 @@ class TestZeroOverheadDisabled:
 
         sink = Null()
         assert isinstance(sink, EventSink)
-        bfs.run_atos(grid_mesh(4, 4), PERSIST_WARP, spec=SPEC, sink=sink)
+        run_app("bfs", grid_mesh(4, 4), PERSIST_WARP, spec=SPEC, sink=sink)
         assert sink.n > 0
 
 
@@ -222,14 +222,13 @@ class TestMultiSink:
     def test_fanned_collectors_agree_with_a_lone_collector(self):
         g = rmat(7, edge_factor=4, seed=3)
         alone = Collector()
-        bfs.run_atos(g, PERSIST_WARP, spec=SPEC, sink=alone)
+        run_app("bfs", g, PERSIST_WARP, spec=SPEC, sink=alone)
         fan_a, fan_b = Collector(), Collector()
-        bfs.run_atos(g, PERSIST_WARP, spec=SPEC, sink=MultiSink(fan_a, fan_b))
+        run_app("bfs", g, PERSIST_WARP, spec=SPEC, sink=MultiSink(fan_a, fan_b))
         assert fan_a.digest() == fan_b.digest() == alone.digest()
 
     def test_validate_composes_with_user_sink(self):
         """run_app(sink=..., validate=True) observes AND validates."""
-        from repro.apps.common import run_app
         from repro.graph.generators import grid_mesh as mesh
 
         sink = Collector()

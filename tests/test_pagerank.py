@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import pagerank
+from repro.apps import pagerank, run_app
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
@@ -81,28 +81,28 @@ class TestAsyncPagerank:
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_converges_to_reference(self, cfg):
         g = grid_mesh(5, 5)
-        res = pagerank.run_atos(g, cfg, epsilon=EPS, spec=SPEC)
+        res = run_app("pagerank", g, cfg, epsilon=EPS, spec=SPEC)
         assert pagerank.max_rank_error(g, res.output) < tight_error_bound(g, EPS)
 
     def test_matches_bsp_within_epsilon_band(self):
         g = rmat(7, edge_factor=4, seed=2)
         bsp = pagerank.run_bsp(g, epsilon=EPS, spec=SPEC)
-        atos = pagerank.run_atos(g, PERSIST_WARP, epsilon=EPS, spec=SPEC)
+        atos = run_app("pagerank", g, PERSIST_WARP, epsilon=EPS, spec=SPEC)
         assert np.abs(bsp.output - atos.output).max() < 2 * tight_error_bound(g, EPS)
 
     def test_invalid_parameters(self):
         g = grid_mesh(3, 3)
         with pytest.raises(ValueError):
-            pagerank.run_atos(g, PERSIST_WARP, lam=1.5, spec=SPEC)
+            run_app("pagerank", g, PERSIST_WARP, lam=1.5, spec=SPEC)
         with pytest.raises(ValueError):
-            pagerank.run_atos(g, PERSIST_WARP, epsilon=0, spec=SPEC)
+            run_app("pagerank", g, PERSIST_WARP, epsilon=0, spec=SPEC)
         with pytest.raises(ValueError):
-            pagerank.run_atos(g, PERSIST_WARP, check_size=0, spec=SPEC)
+            run_app("pagerank", g, PERSIST_WARP, check_size=0, spec=SPEC)
 
     def test_deterministic(self):
         g = grid_mesh(4, 4)
-        r1 = pagerank.run_atos(g, PERSIST_CTA, spec=SPEC)
-        r2 = pagerank.run_atos(g, PERSIST_CTA, spec=SPEC)
+        r1 = run_app("pagerank", g, PERSIST_CTA, spec=SPEC)
+        r2 = run_app("pagerank", g, PERSIST_CTA, spec=SPEC)
         assert r1.elapsed_ns == r2.elapsed_ns
         assert np.array_equal(r1.output, r2.output)
 
@@ -110,12 +110,12 @@ class TestAsyncPagerank:
         """With a tiny check window the run still converges (the final
         quiescence scan catches stragglers)."""
         g = star_graph(20)
-        res = pagerank.run_atos(g, PERSIST_WARP, check_size=2, epsilon=EPS, spec=SPEC)
+        res = run_app("pagerank", g, PERSIST_WARP, check_size=2, epsilon=EPS, spec=SPEC)
         assert pagerank.max_rank_error(g, res.output) < tight_error_bound(g, EPS)
 
     def test_work_accounting_positive(self):
         g = grid_mesh(4, 4)
-        res = pagerank.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("pagerank", g, PERSIST_WARP, spec=SPEC)
         assert res.work_units > 0
         assert res.items_retired >= g.num_vertices
 
@@ -125,5 +125,5 @@ class TestAsyncPagerank:
         the weaker, always-true direction: within 2x of BSP."""
         g = rmat(8, edge_factor=6, seed=5)
         bsp = pagerank.run_bsp(g, spec=SPEC)
-        atos = pagerank.run_atos(g, PERSIST_CTA, spec=SPEC)
+        atos = run_app("pagerank", g, PERSIST_CTA, spec=SPEC)
         assert atos.work_units <= 2.0 * bsp.work_units

@@ -12,7 +12,7 @@ These are the load-bearing correctness guarantees of the reproduction:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import bfs, coloring, pagerank
+from repro.apps import bfs, coloring, pagerank, run_app
 from repro.core.config import AtosConfig, KernelStrategy
 from repro.graph.csr import from_edges
 from repro.sim.spec import GpuSpec
@@ -57,14 +57,14 @@ def atos_configs(draw):
 @settings(max_examples=40, deadline=None)
 def test_speculative_bfs_always_exact(graph, config, seed):
     source = seed % graph.num_vertices
-    res = bfs.run_atos(graph, config, source=source, spec=SPEC)
+    res = run_app("bfs", graph, config, source=source, spec=SPEC)
     assert bfs.validate_depths(graph, res.output, source)
 
 
 @given(symmetric_graphs(), atos_configs())
 @settings(max_examples=40, deadline=None)
 def test_async_coloring_always_proper(graph, config):
-    res = coloring.run_atos(graph, config, spec=SPEC)
+    res = run_app("coloring", graph, config, spec=SPEC)
     assert coloring.validate_coloring(graph, res.output)
     # greedy bound
     assert res.output.max() <= graph.out_degrees().max()
@@ -95,7 +95,7 @@ def test_bsp_and_atos_bfs_agree(graph, seed):
     a = bfs.run_bsp(graph, source=source, spec=SPEC)
     from repro.core.config import PERSIST_CTA
 
-    b = bfs.run_atos(graph, PERSIST_CTA, source=source, spec=SPEC)
+    b = run_app("bfs", graph, PERSIST_CTA, source=source, spec=SPEC)
     assert np.array_equal(a.output, b.output)
 
 
@@ -104,7 +104,7 @@ def test_bsp_and_atos_bfs_agree(graph, seed):
 def test_connected_components_always_exact(graph, config):
     from repro.apps import cc
 
-    res = cc.run_atos(graph, config, spec=SPEC)
+    res = run_app("cc", graph, config, spec=SPEC)
     assert cc.validate_components(graph, res.output)
 
 
@@ -115,7 +115,7 @@ def test_speculative_sssp_always_exact(graph, config, seed):
 
     weights = sssp.random_weights(graph, low=1.0, high=9.0, seed=seed % 97)
     source = seed % graph.num_vertices
-    res = sssp.run_atos(graph, config, weights=weights, source=source, spec=SPEC)
+    res = run_app("sssp", graph, config, weights=weights, source=source, spec=SPEC)
     assert sssp.validate_distances(graph, weights, res.output, source)
 
 
@@ -124,7 +124,7 @@ def test_speculative_sssp_always_exact(graph, config, seed):
 def test_mis_always_lexicographic(graph, config):
     from repro.apps import mis
 
-    res = mis.run_atos(graph, config, spec=SPEC)
+    res = run_app("mis", graph, config, spec=SPEC)
     assert mis.validate_mis(graph, res.output)
 
 
@@ -134,7 +134,7 @@ def test_kcore_always_exact(graph):
     from repro.apps import kcore
     from repro.core.config import PERSIST_WARP
 
-    res = kcore.run_atos(graph, PERSIST_WARP, spec=SPEC)
+    res = run_app("kcore", graph, PERSIST_WARP, spec=SPEC)
     assert kcore.validate_core_numbers(graph, res.output)
 
 

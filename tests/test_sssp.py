@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import sssp
+from repro.apps import run_app, sssp
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import grid_mesh, path_graph, rmat
@@ -106,18 +106,18 @@ class TestSpeculativeSssp:
     def test_exact_distances(self, cfg):
         g = rmat(7, edge_factor=5, seed=6)
         w = sssp.random_weights(g, seed=7)
-        res = sssp.run_atos(g, cfg, weights=w, spec=SPEC)
+        res = run_app("sssp", g, cfg, weights=w, spec=SPEC)
         assert sssp.validate_distances(g, w, res.output)
 
     def test_exact_on_mesh(self):
         g = grid_mesh(8, 8)
         w = sssp.random_weights(g, seed=1)
-        res = sssp.run_atos(g, PERSIST_WARP, weights=w, spec=SPEC)
+        res = run_app("sssp", g, PERSIST_WARP, weights=w, spec=SPEC)
         assert sssp.validate_distances(g, w, res.output)
 
     def test_default_unit_weights(self):
         g = grid_mesh(5, 5)
-        res = sssp.run_atos(g, PERSIST_WARP, spec=SPEC)
+        res = run_app("sssp", g, PERSIST_WARP, spec=SPEC)
         from repro.graph.metrics import bfs_levels
 
         assert np.allclose(res.output, bfs_levels(g, 0))
@@ -125,15 +125,15 @@ class TestSpeculativeSssp:
     def test_invalid_weights(self):
         g = path_graph(4)
         with pytest.raises(ValueError, match="positive"):
-            sssp.run_atos(g, PERSIST_WARP, weights=np.zeros(g.num_edges), spec=SPEC)
+            run_app("sssp", g, PERSIST_WARP, weights=np.zeros(g.num_edges), spec=SPEC)
         with pytest.raises(ValueError, match="align"):
-            sssp.run_atos(g, PERSIST_WARP, weights=np.ones(2), spec=SPEC)
+            run_app("sssp", g, PERSIST_WARP, weights=np.ones(2), spec=SPEC)
 
     def test_deterministic(self):
         g = grid_mesh(5, 5)
         w = sssp.random_weights(g, seed=2)
-        a = sssp.run_atos(g, PERSIST_CTA, weights=w, spec=SPEC)
-        b = sssp.run_atos(g, PERSIST_CTA, weights=w, spec=SPEC)
+        a = run_app("sssp", g, PERSIST_CTA, weights=w, spec=SPEC)
+        b = run_app("sssp", g, PERSIST_CTA, weights=w, spec=SPEC)
         assert a.elapsed_ns == b.elapsed_ns
 
     def test_speculation_more_efficient_than_bellman_ford(self):
@@ -142,5 +142,5 @@ class TestSpeculativeSssp:
         g = grid_mesh(20, 4)
         w = sssp.random_weights(g, low=1.0, high=20.0, seed=4)
         bf = sssp.run_bellman_ford(g, weights=w, spec=SPEC)
-        spec_run = sssp.run_atos(g, PERSIST_CTA, weights=w, spec=SPEC)
+        spec_run = run_app("sssp", g, PERSIST_CTA, weights=w, spec=SPEC)
         assert spec_run.work_units <= bf.work_units * 1.2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import bfs, coloring
+from repro.apps import bfs, coloring, run_app
 from repro.core.config import PERSIST_WARP, AtosConfig
 from repro.graph.generators import grid_mesh, rmat
 from repro.queueing.stealing import StealingWorklist
@@ -149,12 +149,12 @@ class TestStealingWorklist:
 class TestSchedulerIntegration:
     def test_bfs_correct_under_stealing(self):
         g = grid_mesh(8, 8)
-        res = bfs.run_atos(g, STEAL_CFG, spec=SPEC)
+        res = run_app("bfs", g, STEAL_CFG, spec=SPEC)
         assert bfs.validate_depths(g, res.output)
 
     def test_coloring_correct_under_stealing(self):
         g = rmat(7, edge_factor=4, seed=2)
-        res = coloring.run_atos(g, STEAL_CFG, spec=SPEC)
+        res = run_app("coloring", g, STEAL_CFG, spec=SPEC)
         assert coloring.validate_coloring(g, res.output)
 
     def test_invalid_worklist_name_rejected(self):
@@ -165,7 +165,7 @@ class TestSchedulerIntegration:
         """Steal/failed-steal counters flow from the worklist into the
         run's extra stats instead of dying with the retired queue."""
         g = rmat(7, edge_factor=4, seed=3)
-        res = bfs.run_atos(g, STEAL_CFG, spec=SPEC)
+        res = run_app("bfs", g, STEAL_CFG, spec=SPEC)
         assert "steals" in res.extra and "failed_steals" in res.extra
         # startup pushes everything to one home deque, so the other seven
         # workers must steal to get going
@@ -182,7 +182,7 @@ class TestSchedulerIntegration:
 
         g = rmat(7, edge_factor=4, seed=3)
         mon = InvariantMonitor()
-        res = bfs.run_atos(g, STEAL_CFG, spec=SPEC, sink=mon)
+        res = run_app("bfs", g, STEAL_CFG, spec=SPEC, sink=mon)
         mon.reconcile(res)
         mon.assert_clean()
         assert res.extra["queue_items_banked"] > 0
@@ -202,8 +202,8 @@ class TestSchedulerIntegration:
         """The paper's claim direction at small scale: shared is at least
         competitive (stealing pays probe costs on imbalanced startup)."""
         g = rmat(8, edge_factor=6, seed=4)
-        shared = bfs.run_atos(g, PERSIST_WARP, spec=SPEC)
-        steal = bfs.run_atos(g, STEAL_CFG, spec=SPEC)
+        shared = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
+        steal = run_app("bfs", g, STEAL_CFG, spec=SPEC)
         assert bfs.validate_depths(g, steal.output)
         assert shared.elapsed_ns <= steal.elapsed_ns * 1.5
 
