@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -189,6 +190,9 @@ def validate_spec(spec: RunSpec) -> None:
     Run by the broker *before* a job is queued, so a bad request is
     rejected synchronously (HTTP 400) instead of burning a worker slot,
     and by every CLI command that runs a named cell before it executes.
+    ``params`` must name keywords the run's entry point takes: the
+    adapter's ``bsp`` runner under an application-level config, its
+    ``make_kernel`` otherwise.  Their values are checked by the run.
     """
     from repro.apps.common import APP_REGISTRY, get_adapter
     from repro.core.policy import policy_for
@@ -228,6 +232,18 @@ def validate_spec(spec: RunSpec) -> None:
         )
     if not app_level and adapter.make_kernel is None:
         raise JobSpecError(f"app {spec.app!r} is BSP-only; use config 'BSP'")
+    if spec.params:
+        # the keywords of the call the run makes: the BSP runner or the
+        # kernel factory, minus the graph and the simulated GPU it is given
+        entry = adapter.bsp if app_level else adapter.make_kernel
+        taken = set(inspect.signature(entry).parameters) - {"graph", "spec"}
+        unknown = sorted(set(dict(spec.params)) - taken)
+        if unknown:
+            raise JobSpecError(
+                f"unknown param(s) {', '.join(map(repr, unknown))} for app "
+                f"{spec.app!r} under config {spec.impl!r}; "
+                f"known: {', '.join(sorted(taken)) or 'none'}"
+            )
     if spec.edits is not None and not adapter.dynamic:
         raise JobSpecError(
             f"'edits' needs a dynamic app (bfs-inc, cc-inc, pagerank-inc); "

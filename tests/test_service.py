@@ -588,6 +588,20 @@ class TestHttp:
             ("POST", "/v1/jobs",
              {"job": {"app": "bfs", "dataset": "roadNet-CA", "backend": "event"}},
              400, "unknown job field(s): backend"),
+            # params the run's entry point does not take: refused before
+            # queueing, not a TypeError inside the job
+            ("POST", "/v1/jobs",
+             {"job": {"app": "bfs", "dataset": "roadNet-CA", "size": "tiny",
+                      "params": {"bogus": "x"}}},
+             400, "unknown param(s) 'bogus'"),
+            ("POST", "/v1/jobs",
+             {"job": {"app": "bfs", "dataset": "roadNet-CA", "size": "tiny",
+                      "params": {"spec": 1}}},
+             400, "unknown param(s) 'spec'"),
+            ("POST", "/v1/jobs",
+             {"job": {"app": "cc", "dataset": "roadNet-CA", "config": "BSP",
+                      "size": "tiny", "params": {"source": 0}}},
+             400, "unknown param(s) 'source'"),
         ],
     )
     def test_error_statuses(self, method, path, body, status, fragment):
