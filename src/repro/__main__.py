@@ -41,11 +41,13 @@ JSON file (load it at ``chrome://tracing`` or https://ui.perfetto.dev),
 and prints the ASCII time-sink profile.  Traces are deterministic: the
 same invocation always produces a byte-identical file.
 
-``run``, ``trace``, ``metrics``, ``dash --app`` and ``check`` name their
-cells the same way (:func:`_spec_from_args`) and run them through
-:func:`repro.service.jobs.execute_spec`, so a trace or a metrics summary
-observes the run the tables and the service compute.  A bad app,
-dataset or config is refused with one ``error:`` line and exit status 2.
+``run``, ``trace``, ``metrics``, ``dash --app``, ``check`` and ``submit``
+name their cells the same way (:func:`_spec_from_args`); all but
+``submit`` run them through :func:`repro.service.jobs.execute_spec`, so a
+trace or a metrics summary observes the run the tables and the service
+compute, and ``submit`` sends the same spec to the service.  A bad app,
+dataset, config or size is refused with one ``error:`` line and exit
+status 2.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ def _add_size_arg(parser) -> None:
 def _spec_from_args(parser: argparse.ArgumentParser, args, config: str):
     """The validated :class:`~repro.service.jobs.RunSpec` a command's flags name.
 
-    The one place ``run``, ``trace``, ``metrics``, ``check`` and ``dash
-    --app`` turn argv into a cell: ``config`` resolves case-insensitively,
-    a dynamic app without ``--edits`` replays :data:`DEFAULT_EDITS`, flags
-    a command lacks keep the RunSpec defaults, and a
-    :func:`~repro.service.jobs.validate_spec` error is a ``parser.error``.
+    The one place ``run``, ``trace``, ``metrics``, ``check``, ``dash
+    --app`` and ``submit`` turn argv into a cell: ``config`` resolves
+    case-insensitively, a dynamic app without ``--edits`` replays
+    :data:`DEFAULT_EDITS`, flags a command lacks keep the RunSpec
+    defaults, and a :func:`~repro.service.jobs.validate_spec` error is a
+    ``parser.error``.
     """
     from repro.apps.common import APP_REGISTRY
     from repro.core.config import variant_by_name
@@ -91,8 +94,8 @@ def _spec_from_args(parser: argparse.ArgumentParser, args, config: str):
     if edits is None and args.app in APP_REGISTRY and APP_REGISTRY[args.app].dynamic:
         edits = DEFAULT_EDITS
     spec = RunSpec(
-        args.app, args.dataset, config, size=args.size, edits=edits,
-        devices=getattr(args, "devices", None),
+        args.app, args.dataset, config, size=args.size, seed=getattr(args, "seed", 0),
+        edits=edits, devices=getattr(args, "devices", None),
         partition=getattr(args, "partition", None),
         permuted=getattr(args, "permuted", False),
     )
@@ -831,20 +834,7 @@ def _run_submit(argv: list[str]) -> int:
     elif not args.stats:
         if not args.app or not args.dataset:
             parser.error("app and dataset are required (or use --job / --stats)")
-        job = {
-            "app": args.app,
-            "dataset": args.dataset,
-            "config": args.config,
-            "size": args.size,
-        }
-        if args.seed:
-            job["seed"] = args.seed
-        for name in ("edits", "devices", "partition"):
-            value = getattr(args, name)
-            if value is not None:
-                job[name] = value
-        if args.permuted:
-            job["permuted"] = True
+        job = _spec_from_args(parser, args, args.config).to_dict()
     try:
         if args.stats:
             print(json.dumps(client.stats(), indent=2, sort_keys=True))

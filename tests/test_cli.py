@@ -69,6 +69,11 @@ REFUSALS = [
      "unknown config 'nope'"),
     (["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "BSP"], "application level"),
     (["dash", "--app", "pagerank-inc", "--dataset", "rmat8"], "dynamic app"),
+    # submit refuses locally, before it looks for a service
+    (["submit", "nosuchapp", "roadNet-CA"], "unknown app 'nosuchapp'"),
+    (["submit", "bfs", "nope"], "unknown dataset 'nope'"),
+    (["submit", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
+    (["submit", "bfs", "rmat8", "--config", "BSP", "--seed", "1"], "no engine"),
 ]
 
 
@@ -173,20 +178,35 @@ class TestServiceCli:
         assert "malformed --job JSON" in err
         assert "Traceback" not in err
 
+    # a --job document is sent as given, so the server's 400 is the refusal
     def test_submit_unknown_app_rejected_by_server(self, live_service, capsys):
-        code = main(["submit", "nope", "roadNet-CA", "--port", str(live_service)])
+        job = '{"app": "nope", "dataset": "roadNet-CA"}'
+        code = main(["submit", "--job", job, "--port", str(live_service)])
         err = capsys.readouterr().err
         assert code == 1
         assert "unknown app" in err and err.startswith("submit:")
         assert "Traceback" not in err
 
     def test_submit_unknown_config_rejected_by_server(self, live_service, capsys):
-        code = main([
-            "submit", "bfs", "roadNet-CA", "--config", "warp-9000",
-            "--port", str(live_service),
-        ])
+        job = '{"app": "bfs", "dataset": "roadNet-CA", "config": "warp-9000"}'
+        code = main(["submit", "--job", job, "--port", str(live_service)])
         err = capsys.readouterr().err
         assert code == 1 and "unknown config" in err
+
+    def test_submit_sends_the_spec_run_would_build(self, live_service, capsys):
+        import json
+
+        from repro.service.jobs import RunSpec
+
+        argv = [
+            "submit", "bfs-inc", "rmat8", "--size", "tiny", "--seed", "2",
+            "--json", "--port", str(live_service),
+        ]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # the dynamic app gets run's default edit script; the seed rides along
+        want = RunSpec("bfs-inc", "rmat8", "persist-CTA", size="tiny", seed=2, edits="3x32@7")
+        assert doc["job"] == want.to_dict()
 
     def test_submit_requires_a_job(self, live_service):
         with pytest.raises(SystemExit):
