@@ -122,7 +122,7 @@ def bsp_result(
         impl=impl,
         dataset=graph.name,
         elapsed_ns=timeline.now,
-        work_units=float(timeline.work_units),
+        work_units=timeline.work_units,
         items_retired=timeline.items_retired,
         iterations=timeline.iterations if iterations is None else iterations,
         kernel_launches=timeline.kernel_launches,
