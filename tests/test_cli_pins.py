@@ -2,7 +2,8 @@
 
 ``repro trace``, ``metrics``, ``dash --app`` and ``check`` each run a
 named cell with a sink or checker attached, print a report and may write
-files.  Each case below records one invocation's exact stdout and the
+files; ``repro run`` prints every scheduler counter of its result.  Each
+case below records one invocation's exact stdout and the
 SHA-256 of every file it writes (run in an empty directory, so relative
 output paths are stable), so any change to how these commands build and
 execute their run shows up here as a diff.
@@ -55,6 +56,17 @@ PINS = {
     ),
     "check bfs-inc rmat8 --seeds 3 --edits 2x16@3": (
         "98417c13b57e4c7d3d78e4654cd81b691311ed02daa1c00214023a3123b78403", {},
+    ),
+    # `run` prints every extra counter: remote pushes and failed steals
+    # across two devices, a hybrid policy switch, 58 discrete generations
+    "run bfs roadNet-CA --config dist-2 --size tiny": (
+        "43efebc5979fef91d7079d51efdb3878a00539edf73c176d2f9e1e2167bb7936", {},
+    ),
+    "run coloring soc-LiveJournal1 --config hybrid-CTA --size tiny": (
+        "7422db95a8b4329f56fdbac5e8ba37891e00d059f2f7d1c9fbced9c8db943fb8", {},
+    ),
+    "run pagerank roadNet-CA --config discrete-CTA --size tiny": (
+        "8ace352a7a41018b26044885bd0dba2135a760ef44fcec5f25a9ae8d7d0182f4", {},
     ),
 }
 
