@@ -305,36 +305,11 @@ def _epoch_result(
 ) -> AppResult:
     """One finished engine epoch as an :class:`AppResult`.
 
-    ``extra`` is the scheduler-level metrics block every engine run
-    reports, the adapter's own extras and, after an edit batch, the
-    batch's effective edge counts.
+    ``extra`` is the scheduler-level counter block every engine run
+    reports (:meth:`~repro.core.engine.RunResult.counters`), the adapter's
+    own extras and, after an edit batch, the batch's effective edge counts.
     """
-    extra = {
-        "worker_slots": res.worker_slots,
-        "occupancy": res.occupancy_fraction,
-        "queue_contention_ns": res.queue_contention_ns,
-        "total_tasks": res.total_tasks,
-        "mem_utilization": res.mem_utilization,
-        "empty_pops": res.empty_pops,
-        "steals": res.steals,
-        "failed_steals": res.failed_steals,
-        "policy_switches": res.policy_switches,
-        "queue_pushes": res.queue_pushes,
-        "queue_pops": res.queue_pops,
-        "queue_items_pushed": res.queue_items_pushed,
-        "queue_items_popped": res.queue_items_popped,
-        "queue_items_banked": res.queue_items_banked,
-    }
-    # device-dimension block only on multi-device runs, so the extra dict
-    # (and everything serialized from it) is unchanged for devices=1
-    if res.devices > 1:
-        extra["devices"] = res.devices
-        extra["remote_pushes"] = res.remote_pushes
-        extra["remote_items"] = res.remote_items
-        extra["remote_steals"] = res.remote_steals
-        extra["comm_ns"] = res.comm_ns
-        if res.device_stats is not None:
-            extra["device_stats"] = res.device_stats
+    extra = res.counters()
     if adapter.extra is not None:
         extra.update(adapter.extra(kernel))
     if applied is not None:

@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.engine import RunResult
 from repro.obs.events import (
     Barrier,
     EmptyPop,
@@ -475,14 +476,18 @@ class InvariantMonitor:
     def reconcile(self, result: Any) -> None:
         """Cross-check the event totals against a finished run's counters.
 
-        ``result`` is a :class:`~repro.core.engine.RunResult` or an
-        :class:`~repro.apps.common.AppResult` (whose scheduler counters
-        live in ``extra``).  Every discrepancy is flagged as a
-        ``counter-reconcile`` violation: these numbers are accumulated by
-        the engine and derived from the event stream independently, so a
-        mismatch means a counter (or an emit point) lies.
+        ``result`` is a :class:`~repro.core.engine.RunResult` (read
+        through its ``counters()``, the block an app result's ``extra``
+        copies) or an :class:`~repro.apps.common.AppResult`.  Every
+        discrepancy is flagged as a ``counter-reconcile`` violation: these
+        numbers are accumulated by the engine and derived from the event
+        stream independently, so a mismatch means a counter (or an emit
+        point) lies.
         """
-        extra = getattr(result, "extra", None)
+        if isinstance(result, RunResult):
+            extra = result.counters()
+        else:
+            extra = getattr(result, "extra", None)
 
         def counter(name: str) -> Any:
             if extra is not None and name in extra:
@@ -626,12 +631,11 @@ def verify_queue_conservation(worklist: Any) -> None:
                 f"worklist banked {banked} items but only pushed "
                 f"{st.items_pushed} / popped {st.items_popped}"
             )
-        drained = sum(q.stats.items_drained for q in physical)
         distinct_pushed = st.items_pushed - banked
         distinct_popped = st.items_popped - banked
-        if distinct_pushed != distinct_popped + drained + worklist.size:
+        if distinct_pushed != distinct_popped + st.items_drained + worklist.size:
             raise InvariantViolation(
                 f"worklist leaks distinct items: pushed {distinct_pushed} != "
-                f"popped {distinct_popped} + drained {drained} "
+                f"popped {distinct_popped} + drained {st.items_drained} "
                 f"+ live {worklist.size} (banked {banked})"
             )

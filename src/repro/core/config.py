@@ -111,12 +111,6 @@ class AtosConfig:
     partition: str = "hash"
     #: interconnect preset name from :data:`repro.sim.spec.INTERCONNECTS`
     interconnect: str = "nvlink"
-    #: distributed strategy: a cross-device steal must promise at least
-    #: this many ns of estimated work per ns of transfer cost
-    steal_ratio: float = 2.0
-    #: distributed strategy: consecutive empty local pops a device's worker
-    #: must see before it is allowed to probe remote deques
-    steal_idle_threshold: int = 2
     name: str = "atos"
 
     def __post_init__(self) -> None:
@@ -158,10 +152,6 @@ class AtosConfig:
                 f"unknown interconnect {self.interconnect!r}; "
                 f"known: {sorted(INTERCONNECTS)}"
             )
-        if self.steal_ratio < 0:
-            raise ValueError("steal_ratio must be >= 0")
-        if self.steal_idle_threshold < 0:
-            raise ValueError("steal_idle_threshold must be >= 0")
 
     # ------------------------------------------------------------------
     @property

@@ -25,9 +25,9 @@ Execution model per device:
   attribution is a range lookup);
 * a worker that pops its device's deque empty parks; it may probe remote
   deques (paying one interconnect latency per probe) only once the
-  device's consecutive-empty-pop streak reaches
-  ``AtosConfig.steal_idle_threshold``, and a steal only proceeds when the
-  loot's estimated work beats ``steal_ratio`` times its transfer cost.
+  device's consecutive-empty-pop streak reaches :data:`STEAL_IDLE_THRESHOLD`,
+  and a steal only proceeds when the loot's estimated work beats
+  :data:`~repro.queueing.device.STEAL_RATIO` times its transfer cost.
 
 Stolen (and steal-banked) items execute away from their owner, so their
 edge traffic is additionally charged to the owner->executor link — the
@@ -60,7 +60,11 @@ from repro.sim.cost import make_cost_fn
 from repro.sim.memory import BandwidthServer
 from repro.sim.spec import cluster_for
 
-__all__ = ["DeviceState", "DeviceEngine", "DistributedPolicy"]
+__all__ = ["DeviceState", "DeviceEngine", "DistributedPolicy", "STEAL_IDLE_THRESHOLD"]
+
+#: consecutive empty local pops a device's workers must see before one
+#: of them may probe remote deques
+STEAL_IDLE_THRESHOLD = 2
 
 
 @dataclass
@@ -149,7 +153,7 @@ class DeviceEngine(ExecutionEngine):
         """One pop attempt for ``worker``; schedules its READ on success."""
         d = self.device_of[worker]
         wl = self.queue
-        allow = force_steal or d.idle_streak >= self.config.steal_idle_threshold
+        allow = force_steal or d.idle_streak >= STEAL_IDLE_THRESHOLD
         items, t_acq = wl.pop(self._fetch, t, home=d.index, allow_steal=allow)
         if items.size == 0:
             d.idle_streak += 1
@@ -263,7 +267,6 @@ class DistributedPolicy(ExecutionPolicy):
             seed=0,
             name=f"{config.name}-wl",
             sink=sink,
-            steal_ratio=config.steal_ratio,
             item_work_ns=item_work_ns,
         )
 

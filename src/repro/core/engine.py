@@ -52,7 +52,7 @@ from repro.core.config import AtosConfig
 from repro.core.kernel import TaskKernel
 from repro.obs.events import EventSink, TaskComplete, TaskPop, TaskRead
 from repro.queueing.broker import QueueBroker
-from repro.queueing.protocol import Worklist
+from repro.queueing.protocol import Worklist, WorklistStats
 from repro.queueing.stealing import StealingWorklist
 from repro.sim.cost import make_cost_fn
 from repro.sim.memory import BandwidthServer
@@ -88,37 +88,15 @@ class RunResult:
     generations: int
     worker_slots: int
     occupancy_fraction: float
-    queue_contention_ns: float
-    empty_pops: int
     mem_utilization: float
-    #: queue-operation counters aggregated over every queue the run used
-    #: (discrete strategies create one queue per generation; all of them
-    #: are accumulated, not just the last)
-    queue_pushes: int = 0
-    queue_pops: int = 0
-    #: work-stealing counters (zero under the shared-queue worklist)
-    steals: int = 0
-    failed_steals: int = 0
-    #: item-level conservation counters (pushes/pops above count *operations*;
-    #: these count *distinct items*, so ``queue_items_pushed >= items_retired``
-    #: must hold for any run — every retired item was pushed exactly once,
-    #: while items can be pushed and then drained at a policy switch or left
-    #: behind.  Stolen surplus a thief re-pushes ("banks") into its own deque
-    #: is subtracted from both counters — the raw queue totals count those
-    #: items twice — and surfaced separately as ``queue_items_banked``.
-    queue_items_pushed: int = 0
-    queue_items_popped: int = 0
-    queue_items_banked: int = 0
+    #: raw queue counters folded over every worklist the run used (one
+    #: per generation under discrete strategies, not just the last)
+    queue: WorklistStats
     #: hybrid strategy: number of discrete↔persistent crossovers
     policy_switches: int = 0
     #: multi-device runs (defaults keep single-device results unchanged):
-    #: simulated device count and the cross-device traffic the run paid
+    #: the simulated device count and per-device accounting snapshots
     devices: int = 1
-    remote_pushes: int = 0
-    remote_items: int = 0
-    remote_steals: int = 0
-    comm_ns: float = 0.0
-    #: per-device accounting snapshots (None on single-device runs)
     device_stats: list | None = field(repr=False, default=None)
     trace: ThroughputTrace = field(repr=False, default_factory=ThroughputTrace)
     config_name: str = ""
@@ -127,6 +105,42 @@ class RunResult:
     def elapsed_ms(self) -> float:
         """Simulated runtime in milliseconds (the paper's Table 1 unit)."""
         return self.elapsed_ns / 1e6
+
+    def counters(self) -> dict:
+        """The scheduler counters an engine run reports in ``AppResult.extra``.
+
+        Item totals are *distinct*: surplus a thief steals and re-pushes
+        ("banks") into its own deque sits in both raw totals twice (the
+        victim's pop, the thief's push), so it is subtracted from both
+        here, the one place.  The device block appears only on
+        multi-device runs, so a single-device ``extra`` keeps its keys.
+        """
+        q = self.queue
+        out = {
+            "worker_slots": self.worker_slots,
+            "occupancy": self.occupancy_fraction,
+            "queue_contention_ns": q.contention_wait_ns,
+            "total_tasks": self.total_tasks,
+            "mem_utilization": self.mem_utilization,
+            "empty_pops": q.empty_pops,
+            "steals": q.steals,
+            "failed_steals": q.failed_steals,
+            "policy_switches": self.policy_switches,
+            "queue_pushes": q.pushes,
+            "queue_pops": q.pops,
+            "queue_items_pushed": q.items_pushed - q.banked_items,
+            "queue_items_popped": q.items_popped - q.banked_items,
+            "queue_items_banked": q.banked_items,
+        }
+        if self.devices > 1:
+            out["devices"] = self.devices
+            out["remote_pushes"] = q.remote_pushes
+            out["remote_items"] = q.remote_items
+            out["remote_steals"] = q.remote_steals
+            out["comm_ns"] = q.comm_ns
+            if self.device_stats is not None:
+                out["device_stats"] = self.device_stats
+        return out
 
 
 def _worker_slots(spec: GpuSpec, config: AtosConfig) -> tuple[int, float]:
@@ -201,23 +215,10 @@ class ExecutionEngine:
         # mode-dependent knobs; set_mode() must run before any pop
         self.read_lead_ns = 0.0
         self.jitter_amp = 0.0
-        # queue-stats accumulators: discrete runs replace the queue every
-        # generation, so counters are absorbed before each replacement
-        # (previously the per-generation stats were discarded with the
-        # queue and run_discrete reported empty_pops=0 unconditionally)
-        self.q_empty_pops = 0
-        self.q_pushes = 0
-        self.q_pops = 0
-        self.q_contention_ns = 0.0
-        self.q_steals = 0
-        self.q_failed_steals = 0
-        self.q_items_pushed = 0
-        self.q_items_popped = 0
-        self.q_banked_items = 0
-        self.q_remote_pushes = 0
-        self.q_remote_items = 0
-        self.q_remote_steals = 0
-        self.q_comm_ns = 0.0
+        # the run's queue counters: discrete runs replace the queue every
+        # generation, so each retiring queue is folded in before its
+        # replacement
+        self.queue_stats = WorklistStats()
         #: per-device snapshots, set by the distributed policy
         self.device_stats: list | None = None
         # hot-path specialisations (repro.perf): the per-task cost closure
@@ -255,24 +256,9 @@ class ExecutionEngine:
 
     # ------------------------------------------------------------------
     def absorb_queue_stats(self) -> None:
-        """Fold the current queue's counters into the run accumulators."""
-        q = self.queue
-        if q is None:
-            return
-        s = q.stats()
-        self.q_empty_pops += s.empty_pops
-        self.q_pushes += s.pushes
-        self.q_pops += s.pops
-        self.q_contention_ns += s.contention_wait_ns
-        self.q_steals += s.steals
-        self.q_failed_steals += s.failed_steals
-        self.q_items_pushed += s.items_pushed
-        self.q_items_popped += s.items_popped
-        self.q_banked_items += s.banked_items
-        self.q_remote_pushes += s.remote_pushes
-        self.q_remote_items += s.remote_items
-        self.q_remote_steals += s.remote_steals
-        self.q_comm_ns += s.comm_ns
+        """Fold the current queue's counters into the run's record."""
+        if self.queue is not None:
+            self.queue_stats += self.queue.stats()
 
     def new_queue(self, name: str) -> Worklist:
         self.absorb_queue_stats()  # retire the previous generation's queue
@@ -521,26 +507,10 @@ class ExecutionEngine:
             generations=generations,
             worker_slots=self.slots,
             occupancy_fraction=self.occupancy,
-            queue_contention_ns=self.q_contention_ns,
-            empty_pops=self.q_empty_pops,
             mem_utilization=self.mem.utilization(elapsed_ns) if elapsed_ns > 0 else 0.0,
-            queue_pushes=self.q_pushes,
-            queue_pops=self.q_pops,
-            steals=self.q_steals,
-            failed_steals=self.q_failed_steals,
-            # distinct-item totals: a banked re-push counted the stolen
-            # surplus a second time in both raw totals (once at the victim's
-            # pop, once at the thief's push), so subtract it from both sides
-            # of the conservation equation
-            queue_items_pushed=self.q_items_pushed - self.q_banked_items,
-            queue_items_popped=self.q_items_popped - self.q_banked_items,
-            queue_items_banked=self.q_banked_items,
+            queue=self.queue_stats,
             policy_switches=policy_switches,
             devices=self.config.devices,
-            remote_pushes=self.q_remote_pushes,
-            remote_items=self.q_remote_items,
-            remote_steals=self.q_remote_steals,
-            comm_ns=self.q_comm_ns,
             device_stats=self.device_stats,
             trace=self.trace,
             config_name=self.config.name,

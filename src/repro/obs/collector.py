@@ -24,7 +24,6 @@ from repro.obs.events import (
     KernelLaunch,
     QueuePop,
     QueuePush,
-    QueueSteal,
     TaskComplete,
     TaskPop,
     TraceEvent,
@@ -187,9 +186,6 @@ class Collector:
 
     def barrier_ns(self) -> float:
         return sum(e.duration_ns for e in self.events_of(Barrier))
-
-    def steal_count(self) -> int:
-        return len(self.events_of(QueueSteal))
 
     # ------------------------------------------------------------------
     def digest(self) -> str:

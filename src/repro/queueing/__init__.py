@@ -12,7 +12,7 @@ it fans pushes across ``num_queues`` physical queues (round-robin) and lets
 workers pop from their home queue first, stealing from siblings when empty.
 """
 
-from repro.queueing.mpmc import MpmcQueue, QueueStats
+from repro.queueing.mpmc import MpmcQueue
 from repro.queueing.broker import QueueBroker
 from repro.queueing.priority import BucketedWorklist
 from repro.queueing.protocol import Worklist, WorklistStats
@@ -20,7 +20,6 @@ from repro.queueing.stealing import StealingWorklist
 
 __all__ = [
     "MpmcQueue",
-    "QueueStats",
     "QueueBroker",
     "BucketedWorklist",
     "StealingWorklist",

@@ -158,23 +158,9 @@ class QueueBroker:
         order = np.argsort(np.concatenate(order_keys), kind="stable")
         return items[order]
 
-    def total_contention_wait(self) -> float:
-        """Aggregate atomic-contention wait across all physical queues."""
-        return sum(q.stats.contention_wait_ns for q in self.queues)
-
     def stats(self) -> WorklistStats:
-        """Aggregate the physical queues' counters (``Worklist`` protocol).
+        """The physical queues' counters, folded (``Worklist`` protocol).
 
         A shared broker never steals, so the stealing counters are zero.
         """
-        agg = WorklistStats()
-        for q in self.queues:
-            s = q.stats
-            agg.pushes += s.pushes
-            agg.pops += s.pops
-            agg.items_pushed += s.items_pushed
-            agg.items_popped += s.items_popped
-            agg.empty_pops += s.empty_pops
-            agg.contention_wait_ns += s.contention_wait_ns
-            agg.max_size = max(agg.max_size, s.max_size)
-        return agg
+        return WorklistStats.total(q.stats for q in self.queues)

@@ -14,9 +14,9 @@ cluster's :class:`~repro.sim.spec.InterconnectSpec` cost model:
 * a **remote steal** reuses the parent's Fisher-Yates victim order, with
   ``steal_probe_ns`` set to the interconnect latency (a probe is a remote
   read of another device's queue counter).  A steal only proceeds when
-  the estimated work of the loot beats ``steal_ratio`` times its transfer
-  cost — the forwarding heuristic that makes stealing profitable on
-  work-rich scale-free frontiers and a loss on narrow mesh wavefronts;
+  the estimated work of the loot beats :data:`STEAL_RATIO` times its
+  transfer cost — the forwarding heuristic that makes stealing profitable
+  on work-rich scale-free frontiers and a loss on narrow mesh wavefronts;
 * the **host** (initial seeding, ``final_check`` re-seeds) scatters items
   directly into owner deques with no link cost, like a ``cudaMemcpy``
   staged before the launch.
@@ -25,8 +25,11 @@ Conservation is inherited: items enter a deque by push/delivery and leave
 by pop/steal/drain, so the per-queue and distinct-item equations of
 :func:`repro.check.invariants.verify_queue_conservation` hold unchanged.
 The remote counters (``remote_pushes``, ``remote_items``,
-``remote_steals``, ``comm_ns``) extend :class:`WorklistStats` without
-touching single-device accounting.
+``remote_steals``, ``comm_ns``) are
+:class:`~repro.queueing.protocol.WorklistStats` fields the worklist keeps
+in its ``own_stats`` record beside the steal counters, so the inherited
+:meth:`~repro.queueing.stealing.StealingWorklist.stats` fold reports them
+and single-device accounting stays untouched.
 """
 
 from __future__ import annotations
@@ -35,11 +38,14 @@ import numpy as np
 
 from repro.graph.partition import Partition
 from repro.obs.events import EventSink, QueueSteal, RemotePush, RemoteSteal
-from repro.queueing.protocol import WorklistStats
 from repro.queueing.stealing import StealingWorklist
 from repro.sim.spec import InterconnectSpec
 
-__all__ = ["DeviceWorklist"]
+__all__ = ["DeviceWorklist", "STEAL_RATIO"]
+
+#: a cross-device steal must promise at least this many ns of estimated
+#: work per ns of transfer cost
+STEAL_RATIO = 2.0
 
 
 class DeviceWorklist(StealingWorklist):
@@ -62,7 +68,6 @@ class DeviceWorklist(StealingWorklist):
         seed: int = 0,
         name: str = "dist",
         sink: EventSink | None = None,
-        steal_ratio: float = 2.0,
         item_work_ns: float = 1.0,
     ) -> None:
         num_devices = partition.num_parts
@@ -81,16 +86,11 @@ class DeviceWorklist(StealingWorklist):
             d.name = f"{name}@dev{i}"
         self.partition = partition
         self.interconnect = interconnect
-        self.steal_ratio = float(steal_ratio)
         #: estimated service time of one work item on its executing device;
         #: the steal gate compares loot work against transfer cost with it
         self.item_work_ns = float(item_work_ns)
         #: per-directed-link serialization clock (src, dst) -> free-at time
         self._link_free: dict[tuple[int, int], float] = {}
-        self.remote_pushes = 0
-        self.remote_items = 0
-        self.remote_steals = 0
-        self.comm_ns = 0.0
 
     # -- interconnect ---------------------------------------------------
     def reserve_link(self, src: int, dst: int, units: float, now: float) -> float:
@@ -108,7 +108,7 @@ class DeviceWorklist(StealingWorklist):
             start = now
         end = start + units / link.items_per_ns
         self._link_free[key] = end
-        self.comm_ns += (end - start) + link.latency_ns
+        self.own_stats.comm_ns += (end - start) + link.latency_ns
         return end
 
     def send(
@@ -122,8 +122,8 @@ class DeviceWorklist(StealingWorklist):
         """
         end = self.reserve_link(src, dst, float(items.size), now)
         arrive = end + self.interconnect.latency_ns
-        self.remote_pushes += 1
-        self.remote_items += int(items.size)
+        self.own_stats.remote_pushes += 1
+        self.own_stats.remote_items += int(items.size)
         return arrive, arrive - now
 
     def deliver(
@@ -191,19 +191,19 @@ class DeviceWorklist(StealingWorklist):
             t += self.steal_probe_ns  # remote queue-counter read
             victim = self.deques[victim_idx]
             if victim.size == 0:
-                self.failed_steals += 1
+                self.own_stats.failed_steals += 1
                 continue
             take = max(1, victim.size // 2)
             # forwarding heuristic: stolen work must beat its freight
-            if take * self.item_work_ns < self.steal_ratio * link.transfer_ns(take):
-                self.failed_steals += 1
+            if take * self.item_work_ns < STEAL_RATIO * link.transfer_ns(take):
+                self.own_stats.failed_steals += 1
                 continue
             loot, t = victim.pop(take, t)
             if loot.size == 0:
-                self.failed_steals += 1
+                self.own_stats.failed_steals += 1
                 continue
-            self.steals += 1
-            self.remote_steals += 1
+            self.own_stats.steals += 1
+            self.own_stats.remote_steals += 1
             end = self.reserve_link(victim_idx, home % self.num_queues, float(loot.size), t)
             arrive = end + link.latency_ns
             banked = int(loot.size) - max_items if loot.size > max_items else 0
@@ -227,17 +227,8 @@ class DeviceWorklist(StealingWorklist):
                     )
                 )
             if banked:
-                self.banked_items += banked
+                self.own_stats.banked_items += banked
                 arrive = own.push(loot[max_items:], arrive)
                 loot = loot[:max_items]
             return loot, arrive
         return np.empty(0, dtype=np.int64), t
-
-    def stats(self) -> WorklistStats:
-        """Parent aggregation plus the remote/communication counters."""
-        agg = super().stats()
-        agg.remote_pushes = self.remote_pushes
-        agg.remote_items = self.remote_items
-        agg.remote_steals = self.remote_steals
-        agg.comm_ns = self.comm_ns
-        return agg

@@ -10,19 +10,20 @@ Timing model
 Real Atos queues serialize on two atomic counters (head and tail).  We model
 each operation as acquiring the queue's atomic for ``atomic_ns`` simulated
 nanoseconds: operations arriving while the atomic is held queue up behind
-it.  :attr:`QueueStats.contention_wait_ns` accumulates the induced waiting
-so experiments can report how far a single shared queue is from becoming
-the bottleneck (it never is, in the paper and in our runs — but the model
-lets us check rather than assume).
+it.  ``stats.contention_wait_ns`` (the queue's
+:class:`~repro.queueing.protocol.WorklistStats` record) accumulates the
+induced waiting so experiments can report how far a single shared queue
+is from becoming the bottleneck (it never is, in the paper and in our
+runs — but the model lets us check rather than assume).
 
 Conservation
 ------------
 Items leave a queue by exactly two routes — :meth:`MpmcQueue.pop` (counted
-in :attr:`QueueStats.items_popped`) and :meth:`MpmcQueue.drain` (counted in
-:attr:`QueueStats.items_drained`, deliberately *not* in ``items_popped``:
-a drain is a host-side generation snapshot, not a worker pop, and the
-broker's order-preserving drain needs the two counted separately).  So at
-any instant every queue satisfies::
+in ``stats.items_popped``) and :meth:`MpmcQueue.drain` (counted in
+``stats.items_drained``, deliberately *not* in ``items_popped``: a drain
+is a host-side generation snapshot, not a worker pop, and the broker's
+order-preserving drain needs the two counted separately).  So at any
+instant every queue satisfies::
 
     stats.items_pushed == stats.items_popped + stats.items_drained + size
 
@@ -32,33 +33,16 @@ equation; ``tests/test_check_invariants.py`` exercises it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.obs.events import EmptyPop, EventSink, QueuePop, QueuePush
+from repro.queueing.protocol import WorklistStats
 
-__all__ = ["MpmcQueue", "QueueStats"]
+__all__ = ["MpmcQueue"]
 
 #: shared zero-length result for empty pops (never mutable: it has no
 #: elements to write, and callers only inspect ``.size``)
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-@dataclass
-class QueueStats:
-    """Operation counters for one queue."""
-
-    pushes: int = 0
-    pops: int = 0
-    items_pushed: int = 0
-    items_popped: int = 0
-    empty_pops: int = 0
-    contention_wait_ns: float = 0.0
-    max_size: int = 0
-    #: items removed via :meth:`MpmcQueue.drain` (not counted as pops);
-    #: the broker's order-preserving drain needs the total removal count
-    items_drained: int = 0
 
 
 class MpmcQueue:
@@ -97,7 +81,7 @@ class MpmcQueue:
         self._push_atomic_free = 0.0
         self.atomic_ns = float(atomic_ns)
         self.capacity = int(capacity)
-        self.stats = QueueStats()
+        self.stats = WorklistStats()
         self.name = name
         #: optional observability sink; ``None`` disables event emission
         #: entirely (emit points reduce to one attribute test)
@@ -158,9 +142,6 @@ class MpmcQueue:
         self._tail = tail + k
         stats.pushes += 1
         stats.items_pushed += k
-        size = self._tail - self._head
-        if size > stats.max_size:
-            stats.max_size = size
         if self.sink is not None:
             self.sink.emit(
                 QueuePush(

@@ -104,19 +104,6 @@ class BucketedWorklist:
             self.cursor = (self.cursor + 1) % self.num_buckets
         return np.empty(0, dtype=np.int64), t
 
-    def total_contention_wait(self) -> float:
-        return sum(b.stats.contention_wait_ns for b in self.buckets)
-
     def stats(self) -> WorklistStats:
-        """Aggregate bucket counters (priority push, no stealing)."""
-        agg = WorklistStats()
-        for b in self.buckets:
-            s = b.stats
-            agg.pushes += s.pushes
-            agg.pops += s.pops
-            agg.items_pushed += s.items_pushed
-            agg.items_popped += s.items_popped
-            agg.empty_pops += s.empty_pops
-            agg.contention_wait_ns += s.contention_wait_ns
-            agg.max_size = max(agg.max_size, s.max_size)
-        return agg
+        """The buckets' counters, folded (priority push, no stealing)."""
+        return WorklistStats.total(b.stats for b in self.buckets)

@@ -6,7 +6,9 @@ implementations (``hasattr(q, "queues")`` to find the backing FIFOs,
 that with an explicit contract: anything the scheduler can drive must
 provide ``push`` / ``pop`` / ``size`` / ``stats()``, where ``stats()``
 returns one :class:`WorklistStats` record aggregated over every physical
-queue the worklist owns.
+queue the worklist owns.  It is the only queue-counter record: a queue,
+a stealing worklist and a run (``RunResult.queue``) each keep one, and
+every total is a fold of them with ``+=``.
 
 Implementations in this package:
 
@@ -21,8 +23,8 @@ Implementations in this package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass, fields
+from typing import Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -31,21 +33,23 @@ __all__ = ["WorklistStats", "Worklist"]
 
 @dataclass
 class WorklistStats:
-    """Aggregated operation counters for one logical worklist.
+    """Operation counters for one queue, one logical worklist or one run.
 
-    Sums the per-physical-queue :class:`~repro.queueing.mpmc.QueueStats`
-    plus the worklist-level stealing counters (zero for non-stealing
-    organisations), so the engine can absorb a retiring queue's counters
-    without knowing how the worklist is organised internally.
+    A physical queue fills the operation counters; a stealing worklist
+    adds its steal outcomes and a device worklist its interconnect
+    traffic (zero elsewhere).  ``+=`` folds two records field by field.
     """
 
     pushes: int = 0
     pops: int = 0
     items_pushed: int = 0
     items_popped: int = 0
+    #: items removed by a host-side drain (a generation snapshot), not by
+    #: a worker pop, so ``items_pushed == items_popped + items_drained +
+    #: size`` holds for every physical queue
+    items_drained: int = 0
     empty_pops: int = 0
     contention_wait_ns: float = 0.0
-    max_size: int = 0
     steals: int = 0
     failed_steals: int = 0
     #: items re-pushed into the thief's own deque as stolen surplus.  These
@@ -64,6 +68,22 @@ class WorklistStats:
     remote_steals: int = 0
     #: total simulated time spent occupying interconnect links
     comm_ns: float = 0.0
+
+    def __iadd__(self, other: WorklistStats) -> WorklistStats:
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        return self
+
+    @classmethod
+    def total(cls, records: Iterable[WorklistStats]) -> WorklistStats:
+        """A new record holding the field-wise sum of ``records``."""
+        agg = cls()
+        for r in records:
+            agg += r
+        return agg
+
+
+_FIELDS = tuple(f.name for f in fields(WorklistStats))
 
 
 @runtime_checkable

@@ -53,9 +53,9 @@ class StealingWorklist:
             for i in range(num_deques)
         ]
         self.steal_probe_ns = float(steal_probe_ns)
-        self.steals = 0
-        self.failed_steals = 0
-        self.banked_items = 0
+        #: steal outcomes (and, on a device worklist, interconnect
+        #: traffic); :meth:`stats` folds them with the deques' records
+        self.own_stats = WorklistStats()
         self._probe_seq = seed
         self.sink = sink
 
@@ -115,15 +115,15 @@ class StealingWorklist:
             t += self.steal_probe_ns  # remote probe cost
             victim = self.deques[victim_idx]
             if victim.size == 0:
-                self.failed_steals += 1
+                self.own_stats.failed_steals += 1
                 continue
             # steal half the victim's items (classic stealing granularity)
             take = max(1, victim.size // 2)
             loot, t = victim.pop(take, t)
             if loot.size == 0:
-                self.failed_steals += 1
+                self.own_stats.failed_steals += 1
                 continue
-            self.steals += 1
+            self.own_stats.steals += 1
             banked = int(loot.size) - max_items if loot.size > max_items else 0
             if self.sink is not None:
                 self.sink.emit(
@@ -144,7 +144,7 @@ class StealingWorklist:
             # item counters a second time; ``banked_items`` records how
             # many, so distinct-item accounting can subtract them.
             if banked:
-                self.banked_items += banked
+                self.own_stats.banked_items += banked
                 t = own.push(loot[max_items:], t)
                 loot = loot[:max_items]
             return loot, t
@@ -155,23 +155,6 @@ class StealingWorklist:
         parts = [d.drain() for d in self.deques]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    def total_contention_wait(self) -> float:
-        return sum(d.stats.contention_wait_ns for d in self.deques)
-
     def stats(self) -> WorklistStats:
-        """Aggregate deque counters plus steal outcomes (``Worklist`` protocol)."""
-        agg = WorklistStats(
-            steals=self.steals,
-            failed_steals=self.failed_steals,
-            banked_items=self.banked_items,
-        )
-        for d in self.deques:
-            s = d.stats
-            agg.pushes += s.pushes
-            agg.pops += s.pops
-            agg.items_pushed += s.items_pushed
-            agg.items_popped += s.items_popped
-            agg.empty_pops += s.empty_pops
-            agg.contention_wait_ns += s.contention_wait_ns
-            agg.max_size = max(agg.max_size, s.max_size)
-        return agg
+        """Deque counters plus the steal outcomes (``Worklist`` protocol)."""
+        return WorklistStats.total([*(d.stats for d in self.deques), self.own_stats])

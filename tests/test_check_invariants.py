@@ -301,6 +301,17 @@ class TestStrictModeAndReconcile:
         res.extra["total_tasks"] += 1  # simulate a counter bug
         monitor.reconcile(res)
         assert "counter-reconcile" in _rules(monitor)
+        # a bare RunResult lies through its queue record just as visibly
+        from repro.apps.bfs import SpeculativeBfsKernel
+        from repro.core.policy import run_policy
+
+        monitor = InvariantMonitor()
+        run = run_policy(
+            SpeculativeBfsKernel(small_rmat, 0), CONFIGS["persist-warp"], spec=SPEC, sink=monitor
+        )
+        run.queue.empty_pops += 1
+        monitor.reconcile(run)
+        assert "counter-reconcile" in _rules(monitor)
 
     def test_reconcile_flags_unbalanced_pops(self):
         m = InvariantMonitor()

@@ -80,7 +80,7 @@ class TestWorklistProtocol:
         got, _ = wl.pop(3, 1.0, home=1)
         assert got.size > 0
         stats = wl.stats()
-        assert stats.steals == wl.steals
+        assert stats.steals == wl.own_stats.steals
         assert stats.steals >= 1
 
 

@@ -290,14 +290,14 @@ class TestDiscrete:
         stats must accumulate instead of reporting the hard-coded zeros."""
         res = run_policy(CountdownKernel(10, width=3), DISCRETE, spec=SPEC)
         # every generation's workers run the queue dry before the barrier
-        assert res.empty_pops > 0
-        assert res.queue_pops > 0
-        assert res.queue_pushes > 0
+        assert res.queue.empty_pops > 0
+        assert res.queue.pops > 0
+        assert res.queue.pushes > 0
         # every task the run counted came through some generation's queue
-        assert res.queue_pops == res.total_tasks
+        assert res.queue.pops == res.total_tasks
 
     def test_persistent_queue_counters_populated(self):
         res = run_policy(CountdownKernel(10, width=3), PERSIST, spec=SPEC)
-        assert res.queue_pops == res.total_tasks
-        assert res.queue_pushes > 0
-        assert res.empty_pops > 0
+        assert res.queue.pops == res.total_tasks
+        assert res.queue.pushes > 0
+        assert res.queue.empty_pops > 0

@@ -28,14 +28,14 @@ class TestStealingWorklist:
         wl.push(np.array([7]), home=1)
         items, _ = wl.pop(4, home=1)
         assert list(items) == [7]
-        assert wl.steals == 0
+        assert wl.own_stats.steals == 0
 
     def test_steal_on_empty(self):
         wl = StealingWorklist(4)
         wl.push(np.arange(10), home=0)
         items, _ = wl.pop(2, home=3)
         assert items.size > 0
-        assert wl.steals == 1
+        assert wl.own_stats.steals == 1
 
     def test_steal_takes_half_and_banks_surplus(self):
         wl = StealingWorklist(2)
@@ -56,7 +56,7 @@ class TestStealingWorklist:
         wl = StealingWorklist(3)
         items, _ = wl.pop(2, home=0)
         assert items.size == 0
-        assert wl.failed_steals >= 1
+        assert wl.own_stats.failed_steals >= 1
 
     def test_conservation(self):
         wl = StealingWorklist(4, seed=7)
@@ -104,7 +104,7 @@ class TestStealingWorklist:
         items, t = wl.pop(1, now=100.0, home=1)
         assert items.size == 1
         assert t == pytest.approx(110.0)
-        assert wl.banked_items == 0
+        assert wl.own_stats.banked_items == 0
 
     def test_banked_surplus_not_double_counted(self):
         """Regression: the banking push re-counts stolen surplus in the raw
