@@ -9,6 +9,7 @@ weighted road mesh where the contrast is starkest.
 
 from repro.analysis.tables import format_table
 from repro.apps import delta_sssp, run_app, sssp
+from repro.check import validate
 from repro.core.config import PERSIST_CTA
 
 
@@ -23,7 +24,7 @@ def test_speculation_vs_orderings(benchmark, lab, save_artifact):
         ds = delta_sssp.run_delta_stepping(graph, weights=weights, spec=lab.spec)
         spec_run = run_app("sssp", graph, PERSIST_CTA, weights=weights, spec=lab.spec)
         for r in (bf, ds, spec_run):
-            assert sssp.validate_distances(graph, weights, r.output), r.impl
+            assert validate("sssp", graph, r.output, weights=weights).ok, r.impl
         return bf, ds, spec_run
 
     bf, ds, spec_run = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -19,7 +19,8 @@ Run:  python examples/network_analysis.py
 import numpy as np
 
 from repro import PERSIST_WARP, load_dataset
-from repro.apps import cc, kcore, mis, run_app
+from repro.apps import run_app
+from repro.check import validate
 
 
 def main() -> None:
@@ -27,7 +28,7 @@ def main() -> None:
     print(f"analysing {graph.name}: |V|={graph.num_vertices}, |E|={graph.num_edges}\n")
 
     comps = run_app("cc", graph, PERSIST_WARP)
-    assert cc.validate_components(graph, comps.output)
+    assert validate("cc", graph, comps.output).ok
     sizes = np.bincount(comps.output)
     sizes = np.sort(sizes[sizes > 0])[::-1]
     print(
@@ -36,7 +37,7 @@ def main() -> None:
     )
 
     cores = run_app("kcore", graph, PERSIST_WARP)
-    assert kcore.validate_core_numbers(graph, cores.output)
+    assert validate("kcore", graph, cores.output).ok
     print(
         f"k-core: max core {cores.extra['max_core']}; "
         f"core-size profile: "
@@ -47,7 +48,7 @@ def main() -> None:
     )
 
     sample = run_app("mis", graph, PERSIST_WARP)
-    assert mis.validate_mis(graph, sample.output)
+    assert validate("mis", graph, sample.output).ok
     print(
         f"maximal independent set: {sample.extra['mis_size']} vertices "
         f"({sample.extra['mis_size'] / graph.num_vertices:.0%} of the graph), "

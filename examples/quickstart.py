@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 from repro import Atos, Lab, load_dataset
 from repro.apps import bfs
 from repro.apps.bfs import SpeculativeBfsKernel
+from repro.check import validate
 
 
 def main() -> None:
@@ -31,7 +32,7 @@ def main() -> None:
         f"{result.total_tasks} tasks, {reached} vertices reached, "
         f"{result.worker_slots} resident workers"
     )
-    assert bfs.validate_depths(graph, kernel.depth), "BFS depths must be exact"
+    assert validate("bfs", graph, kernel.depth).ok, "BFS depths must be exact"
 
     # same kernel logic, CTA-sized workers with in-worker load balancing
     kernel2 = SpeculativeBfsKernel(graph, source=0)

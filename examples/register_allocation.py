@@ -14,7 +14,7 @@ Run:  python examples/register_allocation.py
 
 from repro import Lab
 from repro.analysis.overwork import coloring_workload_ratio
-from repro.apps import coloring
+from repro.check import validate
 from repro.graph.permute import locality_score
 
 
@@ -31,7 +31,7 @@ def main() -> None:
     for impl in ("BSP", "persist-warp", "persist-CTA", "discrete-warp"):
         res = lab.run("coloring", ds, impl)
         ratio = coloring_workload_ratio(res, graph.num_vertices)
-        ok = coloring.validate_coloring(graph, res.output)
+        ok = validate("coloring", graph, res.output).ok
         print(
             f"  {impl:14s}  {res.extra['num_colors']:5d}  {ratio:14.2f}  "
             f"{res.elapsed_ms:10.3f}  {ok}"

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import PERSIST_CTA, PERSIST_WARP
 from repro.apps import run_app, sssp
+from repro.check import validate
 from repro.core.dag import Dag, DagKernel
 from repro.core.policy import run_policy
 from repro.graph.generators import road_network
@@ -33,8 +34,8 @@ def sssp_demo() -> None:
 
     bf = sssp.run_bellman_ford(graph, weights=weights)
     spec_run = run_app("sssp", graph, PERSIST_CTA, weights=weights)
-    assert sssp.validate_distances(graph, weights, bf.output)
-    assert sssp.validate_distances(graph, weights, spec_run.output)
+    assert validate("sssp", graph, bf.output, weights=weights).ok
+    assert validate("sssp", graph, spec_run.output, weights=weights).ok
 
     print(f"graph: |V|={graph.num_vertices}, |E|={graph.num_edges}")
     print(

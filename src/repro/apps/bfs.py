@@ -40,7 +40,6 @@ __all__ = [
     "SpeculativeBfsKernel",
     "run_bsp",
     "reference_depths",
-    "validate_depths",
 ]
 
 #: depth value for unreached vertices (int64 "infinity")
@@ -287,8 +286,3 @@ def reference_depths(graph: Csr, source: int = 0) -> np.ndarray:
     levels = bfs_levels(graph, source)
     out = np.where(levels < 0, UNREACHED, levels)
     return out.astype(np.int64)
-
-
-def validate_depths(graph: Csr, depth: np.ndarray, source: int = 0) -> bool:
-    """True when ``depth`` equals the exact BFS distance array."""
-    return bool(np.array_equal(depth, reference_depths(graph, source)))

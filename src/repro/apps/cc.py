@@ -35,7 +35,6 @@ __all__ = [
     "AsyncCcKernel",
     "run_bsp",
     "reference_components",
-    "validate_components",
 ]
 
 
@@ -189,8 +188,3 @@ def reference_components(graph: Csr) -> np.ndarray:
                     labels[w] = v
                     stack.append(int(w))
     return labels
-
-
-def validate_components(graph: Csr, labels: np.ndarray) -> bool:
-    """True when ``labels`` equals the min-id component labelling."""
-    return bool(np.array_equal(labels, reference_components(graph)))

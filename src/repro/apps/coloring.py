@@ -57,7 +57,6 @@ __all__ = [
     "UNCOLORED",
     "AsyncColoringKernel",
     "run_bsp",
-    "validate_coloring",
     "count_conflicts",
 ]
 
@@ -116,13 +115,6 @@ def count_conflicts(graph: Csr, colors: np.ndarray) -> int:
     edges = graph.edge_array()
     same = colors[edges[:, 0]] == colors[edges[:, 1]]
     return int(same.sum())
-
-
-def validate_coloring(graph: Csr, colors: np.ndarray) -> bool:
-    """True when every vertex is colored and no edge is monochromatic."""
-    if np.any(colors < 0):
-        return False
-    return count_conflicts(graph, colors) == 0
 
 
 class AsyncColoringKernel:

@@ -37,7 +37,6 @@ __all__ = [
     "AsyncKcoreKernel",
     "run_bsp",
     "reference_core_numbers",
-    "validate_core_numbers",
 ]
 
 
@@ -197,8 +196,3 @@ def reference_core_numbers(graph: Csr) -> np.ndarray:
         live_nbrs = nbrs[alive[nbrs]]
         np.subtract.at(eff, live_nbrs, 1)
     return core
-
-
-def validate_core_numbers(graph: Csr, core: np.ndarray) -> bool:
-    """True when ``core`` equals the exact decomposition."""
-    return bool(np.array_equal(core, reference_core_numbers(graph)))

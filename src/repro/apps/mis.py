@@ -35,7 +35,6 @@ __all__ = [
     "AsyncMisKernel",
     "run_bsp",
     "reference_mis",
-    "validate_mis",
 ]
 
 OUT = 0
@@ -199,19 +198,3 @@ def reference_mis(graph: Csr) -> np.ndarray:
         smaller = nbrs[nbrs < v]
         status[v] = IN if not (status[smaller] == IN).any() else OUT
     return status
-
-
-def validate_mis(graph: Csr, status: np.ndarray) -> bool:
-    """Independent, maximal, and equal to the lexicographic fixed point."""
-    if not np.array_equal(status, reference_mis(graph)):
-        return False
-    edges = graph.edge_array()
-    mono = (status[edges[:, 0]] == IN) & (status[edges[:, 1]] == IN)
-    if mono.any():
-        return False  # not independent
-    for v in range(graph.num_vertices):
-        if status[v] == OUT:
-            nbrs = graph.neighbors(v)
-            if not (status[nbrs] == IN).any():
-                return False  # not maximal
-    return True

@@ -41,7 +41,6 @@ __all__ = [
     "SpeculativeSsspKernel",
     "run_bellman_ford",
     "reference_distances",
-    "validate_distances",
 ]
 
 UNREACHED = np.inf
@@ -232,13 +231,3 @@ def reference_distances(
                 dist[w] = nd
                 heapq.heappush(heap, (nd, w))
     return dist
-
-
-def validate_distances(
-    graph: Csr, weights: np.ndarray, dist: np.ndarray, source: int = 0
-) -> bool:
-    """True when ``dist`` matches Dijkstra to float tolerance."""
-    ref = reference_distances(graph, weights, source)
-    both_inf = np.isinf(ref) & np.isinf(dist)
-    close = np.isclose(ref, dist, rtol=1e-9, atol=1e-9)
-    return bool(np.all(both_inf | close))

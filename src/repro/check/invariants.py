@@ -38,9 +38,9 @@ Violations are collected (``strict=False``, the default) or raised
 immediately as :class:`InvariantViolation` (``strict=True``).  After the
 run, :meth:`InvariantMonitor.reconcile` cross-checks the event totals
 against the run's counter block — the same numbers derived two
-independent ways.  ``forward=`` chains another sink (e.g. a
-:class:`~repro.obs.collector.Collector`) so monitoring does not preclude
-trace capture.
+independent ways.  To capture a trace as well, attach the monitor beside
+a :class:`~repro.obs.collector.Collector` through one
+:class:`~repro.obs.events.MultiSink`.
 """
 
 from __future__ import annotations
@@ -50,10 +50,8 @@ from typing import Any
 
 from repro.core.engine import RunResult
 from repro.obs.events import (
-    Barrier,
     EmptyPop,
     EpochMark,
-    EventSink,
     GenerationEnd,
     GenerationStart,
     KernelLaunch,
@@ -99,15 +97,8 @@ _IDLE, _POPPED, _READING = 0, 1, 2
 class InvariantMonitor:
     """EventSink asserting conservation/ordering laws over a live run."""
 
-    def __init__(
-        self,
-        *,
-        worker_slots: int | None = None,
-        forward: EventSink | None = None,
-        strict: bool = False,
-    ) -> None:
+    def __init__(self, *, worker_slots: int | None = None, strict: bool = False) -> None:
         self.worker_slots = worker_slots
-        self.forward = forward
         self.strict = strict
         self.violations: list[Violation] = []
         # per-queue state (keyed by physical queue name)
@@ -200,10 +191,6 @@ class InvariantMonitor:
             self._on_epoch_mark(event)
         elif isinstance(event, KernelLaunch):
             self.counts["kernel_launches"] += 1
-        elif isinstance(event, Barrier):
-            pass
-        if self.forward is not None:
-            self.forward.emit(event)
 
     # -- queue layer ---------------------------------------------------
     @staticmethod
@@ -602,7 +589,8 @@ def verify_queue_conservation(worklist: Any) -> None:
                                 + q.stats.items_drained + q.size
 
     (see the ``MpmcQueue`` docstring).  Accepts a bare queue, a
-    :class:`~repro.queueing.broker.QueueBroker` (``.queues``) or a
+    :class:`~repro.queueing.broker.QueueBroker` or a
+    :class:`~repro.queueing.priority.BucketedWorklist` (``.queues``), or a
     :class:`~repro.queueing.stealing.StealingWorklist` (``.deques``).
     Raises :class:`InvariantViolation` on the first imbalance.
     """

@@ -25,13 +25,15 @@ Two kinds of check appear in a report:
 
 Entry point: :func:`validate` dispatches on the registered app name; the
 ``ORACLES`` registry is extensible via :func:`register_oracle` the same
-way apps register adapters.
+way apps register adapters, and one oracle body may serve several names
+(an incremental app asks its static app's question of each snapshot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +47,7 @@ __all__ = [
     "register_oracle",
     "oracle_names",
     "validate",
+    "validate_epochs",
 ]
 
 
@@ -99,11 +102,12 @@ class ValidationReport:
 ORACLES: dict[str, Callable[..., ValidationReport]] = {}
 
 
-def register_oracle(name: str) -> Callable:
-    """Decorator: register an oracle for app ``name``."""
+def register_oracle(*names: str) -> Callable:
+    """Decorator: register one oracle body for every app in ``names``."""
 
     def deco(fn: Callable[..., ValidationReport]) -> Callable[..., ValidationReport]:
-        ORACLES[name] = fn
+        for name in names:
+            ORACLES[name] = fn
         return fn
 
     return deco
@@ -120,14 +124,38 @@ def validate(app: str, graph: Csr, result: Any, **params) -> ValidationReport:
     ``params`` are the same keyword arguments the run was given (``source``,
     ``weights``, ``epsilon``…); each oracle consumes the ones that define
     its reference answer and ignores the rest (e.g. PageRank's
-    ``check_size``, which shapes the schedule but not the fixpoint).
+    ``check_size``, which shapes the schedule but not the fixpoint).  The
+    report is named after ``app``, also when its oracle serves several.
     """
     try:
         oracle = ORACLES[app]
     except KeyError:
         raise KeyError(f"no oracle registered for app {app!r}; known: {oracle_names()}") from None
     output = getattr(result, "output", result)
-    return oracle(graph, np.asarray(output), **params)
+    report = oracle(graph, np.asarray(output), **params)
+    report.app = app
+    return report
+
+
+def validate_epochs(
+    app: str,
+    epochs: Sequence[Any],
+    *,
+    validator: Callable[..., ValidationReport] = validate,
+    **params: Any,
+) -> ValidationReport:
+    """Check each replay epoch (an :class:`~repro.apps.common.EpochResult`)
+    against ``app``'s oracle on its own snapshot.
+
+    With more than one epoch, check names carry an ``epochN:`` prefix, so
+    a failure names its epoch.  ``validator`` stands in for :func:`validate`.
+    """
+    report = ValidationReport(app=app)
+    for epoch in epochs:
+        prefix = f"epoch{epoch.epoch}:" if len(epochs) > 1 else ""
+        for c in validator(app, epoch.graph, epoch.result, **params).checks:
+            report.add(prefix + c.name, c.ok, c.detail)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +191,8 @@ def oracle_bfs(graph: Csr, depth: np.ndarray, *, source: int = 0, **_: Any) -> V
 # SSSP (speculative and delta-stepping share one oracle)
 # ---------------------------------------------------------------------------
 
-def _oracle_sssp(
-    app: str,
+@register_oracle("sssp", "delta-sssp")
+def oracle_sssp(
     graph: Csr,
     dist: np.ndarray,
     *,
@@ -172,12 +200,17 @@ def _oracle_sssp(
     source: int = 0,
     **_: Any,
 ) -> ValidationReport:
+    """Distances must match Dijkstra and admit no further relaxation.
+
+    Delta-stepping answers the same question: its ``delta`` and
+    ``max_rounds`` only shape the schedule, so they fall into ``**_``.
+    """
     from repro.apps.sssp import reference_distances, uniform_weights
 
     if weights is None:
         weights = uniform_weights(graph)
     weights = np.asarray(weights, dtype=np.float64)
-    rep = ValidationReport(app=app)
+    rep = ValidationReport(app="sssp")
     ref = reference_distances(graph, weights, source)
     both_inf = np.isinf(ref) & np.isinf(dist)
     close = np.isclose(ref, dist, rtol=1e-9, atol=1e-9)
@@ -195,22 +228,6 @@ def _oracle_sssp(
         f"{int((slack > 1e-9).sum())} relaxable edges remain" if slack.size else "",
     )
     return rep
-
-
-@register_oracle("sssp")
-def oracle_sssp(graph: Csr, dist: np.ndarray, **params: Any) -> ValidationReport:
-    """Distances must match Dijkstra and admit no further relaxation."""
-    return _oracle_sssp("sssp", graph, dist, **params)
-
-
-@register_oracle("delta-sssp")
-def oracle_delta_sssp(graph: Csr, dist: np.ndarray, **params: Any) -> ValidationReport:
-    """Delta-stepping answers the same question as SSSP; ``delta`` only
-    shapes the schedule, so the distance oracle is shared (extra bucket
-    parameters are ignored)."""
-    params.pop("delta", None)
-    params.pop("max_rounds", None)
-    return _oracle_sssp("delta-sssp", graph, dist, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,7 @@ def oracle_pagerank(
     *,
     lam: float | None = None,
     epsilon: float | None = None,
+    signed: bool = False,
     **_: Any,
 ) -> ValidationReport:
     """Residual-bound convergence of the push-PageRank fixpoint.
@@ -358,8 +376,11 @@ def oracle_pagerank(
     the kernel's own residue array) and additionally bounds the distance
     to the power-iteration fixpoint: each unresolved residue contributes at
     most ``ε/(1-λ)`` of rank mass, so ``|rank − p*|∞ ≤ n·ε/(1-λ)``.
+
+    ``signed=True`` (``pagerank-inc``, see the aliases below) checks
+    ``|residual| <= ε`` instead, with no ``residual-nonnegative``.
     """
-    from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, reference_ranks
+    from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, max_rank_error
 
     lam = DEFAULT_LAMBDA if lam is None else float(lam)
     epsilon = DEFAULT_EPSILON if epsilon is None else float(epsilon)
@@ -371,18 +392,26 @@ def oracle_pagerank(
     np.add.at(contrib, edges[:, 1], lam * rank[edges[:, 0]] / out_deg[edges[:, 0]])
     residual = (1.0 - lam) + contrib - rank
     tol = 1e-8
-    rep.add(
-        "residual-nonnegative",
-        bool((residual >= -tol).all()),
-        f"min residual {residual.min():.3e} (rank overshoot)",
-    )
-    rep.add(
-        "residual-converged",
-        bool((residual <= epsilon + tol).all()),
-        f"max residual {residual.max():.3e} > epsilon {epsilon:.1e}",
-    )
+    if signed:
+        worst = float(np.abs(residual).max()) if residual.size else 0.0
+        rep.add(
+            "residual-converged",
+            worst <= epsilon + tol,
+            f"max |residual| {worst:.3e} > epsilon {epsilon:.1e}",
+        )
+    else:
+        rep.add(
+            "residual-nonnegative",
+            bool((residual >= -tol).all()),
+            f"min residual {residual.min():.3e} (rank overshoot)",
+        )
+        rep.add(
+            "residual-converged",
+            bool((residual <= epsilon + tol).all()),
+            f"max residual {residual.max():.3e} > epsilon {epsilon:.1e}",
+        )
     bound = n * epsilon / (1.0 - lam) + tol
-    err = float(np.abs(rank - reference_ranks(graph, lam=lam)).max())
+    err = max_rank_error(graph, rank, lam=lam)
     rep.add(
         "close-to-fixpoint",
         err <= bound,
@@ -400,69 +429,13 @@ def oracle_pagerank(
 # CSR snapshot of that epoch.  BFS and CC converge to schedule-invariant
 # fixpoints, so "incremental == from-scratch recompute" is literally the
 # static oracle's exact reference-equality check evaluated on the mutated
-# graph — the oracles delegate.  Incremental PageRank needs its own
-# residual predicate: a rebase injects *signed* residues (a deleted edge
-# withdraws rank mass), so at quiescence the recomputed residual lies in
-# [-ε, ε] rather than [0, ε]; everything else (the residual recomputation
-# from the rank vector alone, the fixpoint-distance bound) is identical.
+# graph — the static oracles serve both names.  Incremental PageRank needs
+# its own residual predicate: a rebase injects *signed* residues (a deleted
+# edge withdraws rank mass), so at quiescence the recomputed residual lies
+# in [-ε, ε] rather than [0, ε]; everything else (the residual
+# recomputation from the rank vector alone, the fixpoint-distance bound)
+# is identical.
 
-@register_oracle("bfs-inc")
-def oracle_bfs_inc(
-    graph: Csr, depth: np.ndarray, *, source: int = 0, **_: Any
-) -> ValidationReport:
-    """Incremental BFS must exactly equal from-scratch BFS on the snapshot."""
-    rep = oracle_bfs(graph, depth, source=source)
-    rep.app = "bfs-inc"
-    return rep
-
-
-@register_oracle("cc-inc")
-def oracle_cc_inc(graph: Csr, labels: np.ndarray, **_: Any) -> ValidationReport:
-    """Incremental CC must exactly equal from-scratch labels on the snapshot."""
-    rep = oracle_cc(graph, labels)
-    rep.app = "cc-inc"
-    return rep
-
-
-@register_oracle("pagerank-inc")
-def oracle_pagerank_inc(
-    graph: Csr,
-    rank: np.ndarray,
-    *,
-    lam: float | None = None,
-    epsilon: float | None = None,
-    **_: Any,
-) -> ValidationReport:
-    """Signed-residual convergence for incremental PageRank.
-
-    Same recomputed residual as :func:`oracle_pagerank`, but two-sided:
-    a rebase that deletes edges *withdraws* previously-pushed rank mass
-    as negative residue, so converged means ``|residual| <= ε``, and the
-    fixpoint-distance bound uses the same ``n·ε/(1-λ)`` envelope.
-    """
-    from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, reference_ranks
-
-    lam = DEFAULT_LAMBDA if lam is None else float(lam)
-    epsilon = DEFAULT_EPSILON if epsilon is None else float(epsilon)
-    rep = ValidationReport(app="pagerank-inc")
-    n = graph.num_vertices
-    out_deg = np.maximum(graph.out_degrees().astype(np.float64), 1.0)
-    edges = graph.edge_array()
-    contrib = np.zeros(n, dtype=np.float64)
-    np.add.at(contrib, edges[:, 1], lam * rank[edges[:, 0]] / out_deg[edges[:, 0]])
-    residual = (1.0 - lam) + contrib - rank
-    tol = 1e-8
-    worst = float(np.abs(residual).max()) if residual.size else 0.0
-    rep.add(
-        "residual-converged",
-        worst <= epsilon + tol,
-        f"max |residual| {worst:.3e} > epsilon {epsilon:.1e}",
-    )
-    bound = n * epsilon / (1.0 - lam) + tol
-    err = float(np.abs(rank - reference_ranks(graph, lam=lam)).max())
-    rep.add(
-        "close-to-fixpoint",
-        err <= bound,
-        f"max error {err:.3e} > bound {bound:.3e}",
-    )
-    return rep
+register_oracle("bfs-inc")(oracle_bfs)
+register_oracle("cc-inc")(oracle_cc)
+register_oracle("pagerank-inc")(partial(oracle_pagerank, signed=True))

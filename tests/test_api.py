@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.api import Atos
-from repro.apps.bfs import SpeculativeBfsKernel, validate_depths
+from repro.apps.bfs import SpeculativeBfsKernel
+from repro.check import validate
 from repro.graph.generators import grid_mesh
 from repro.sim.spec import GpuSpec
 
@@ -25,30 +26,30 @@ class TestLaunches:
         kernel = SpeculativeBfsKernel(graph, 0)
         res = atos.launch_warp(kernel)
         assert res.kernel_launches == 1
-        assert validate_depths(graph, kernel.depth)
+        assert validate("bfs", graph, kernel.depth).ok
         assert atos.last_result is res
 
     def test_launch_warp_discrete(self, atos, graph):
         kernel = SpeculativeBfsKernel(graph, 0)
         res = atos.launch_warp(kernel, persistent=False)
         assert res.kernel_launches > 1
-        assert validate_depths(graph, kernel.depth)
+        assert validate("bfs", graph, kernel.depth).ok
 
     def test_launch_cta_requires_fetch_size(self, atos, graph):
         kernel = SpeculativeBfsKernel(graph, 0)
         res = atos.launch_cta(kernel, fetch_size=16, num_threads=128)
-        assert validate_depths(graph, kernel.depth)
+        assert validate("bfs", graph, kernel.depth).ok
 
     def test_launch_thread(self, atos, graph):
         kernel = SpeculativeBfsKernel(graph, 0)
         atos.launch_thread(kernel)
-        assert validate_depths(graph, kernel.depth)
+        assert validate("bfs", graph, kernel.depth).ok
 
     def test_num_queues_plumbed(self, graph):
         atos = Atos(spec=SPEC, num_queues=4)
         kernel = SpeculativeBfsKernel(graph, 0)
         atos.launch_warp(kernel)
-        assert validate_depths(graph, kernel.depth)
+        assert validate("bfs", graph, kernel.depth).ok
 
     def test_capacity_plumbed(self, graph):
         atos = Atos(spec=SPEC, capacity=1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import bfs, run_app
+from repro.check import validate
 from repro.core.config import (
     DISCRETE_CTA,
     PERSIST_CTA,
@@ -41,7 +42,7 @@ class TestBspBfs:
     def test_matches_reference_on_rmat(self):
         g = rmat(8, edge_factor=6, seed=4)
         res = bfs.run_bsp(g, spec=SPEC)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_work_counts_edges(self):
         g = star_graph(10)
@@ -69,13 +70,13 @@ class TestSpeculativeBfs:
     def test_exact_depths_grid(self, cfg):
         g = grid_mesh(8, 8)
         res = run_app("bfs", g, cfg, spec=SPEC)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_exact_depths_rmat(self, cfg):
         g = rmat(8, edge_factor=6, seed=4)
         res = run_app("bfs", g, cfg, spec=SPEC)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_overwork_at_least_bsp_work(self):
         """Speculation can only add edge traversals, never remove them."""
@@ -123,7 +124,7 @@ class TestSpeculativeBfs:
         )
         g = grid_mesh(5, 5)
         res = run_app("bfs", g, cfg, spec=SPEC)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_result_metadata(self):
         g = grid_mesh(4, 4)
@@ -163,12 +164,12 @@ class TestDirectionOptimizedBfs:
     def test_exact_depths(self):
         g = rmat(8, edge_factor=8, seed=4)
         res = bfs.run_bsp(g, spec=SPEC, direction_optimized=True)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_exact_on_mesh(self):
         g = grid_mesh(9, 9)
         res = bfs.run_bsp(g, spec=SPEC, direction_optimized=True)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_pull_engages_on_scale_free(self):
         g = rmat(9, edge_factor=8, seed=3)

@@ -6,6 +6,7 @@ import pytest
 import networkx as nx
 
 from repro.apps import cc, run_app
+from repro.check import validate
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import grid_mesh, path_graph, rmat
@@ -48,7 +49,7 @@ class TestBspCc:
     def test_disconnected(self):
         g = disconnected_graph()
         res = cc.run_bsp(g, spec=SPEC)
-        assert cc.validate_components(g, res.output)
+        assert validate("cc", g, res.output).ok
         assert res.extra["num_components"] == 3
 
     def test_divergence_guard(self):
@@ -63,12 +64,12 @@ class TestAsyncCc:
     def test_correct_on_rmat(self, cfg):
         g = rmat(7, edge_factor=4, seed=3)
         res = run_app("cc", g, cfg, spec=SPEC)
-        assert cc.validate_components(g, res.output)
+        assert validate("cc", g, res.output).ok
 
     def test_correct_on_disconnected(self):
         g = disconnected_graph()
         res = run_app("cc", g, PERSIST_WARP, spec=SPEC)
-        assert cc.validate_components(g, res.output)
+        assert validate("cc", g, res.output).ok
         assert res.extra["num_components"] == 3
 
     def test_deterministic(self):

@@ -28,7 +28,7 @@ from repro.check.invariants import (
     verify_queue_conservation,
 )
 from repro.core.config import CONFIGS
-from repro.obs import Collector
+from repro.obs import Collector, MultiSink
 from repro.obs.events import (
     EmptyPop,
     GenerationEnd,
@@ -42,6 +42,7 @@ from repro.obs.events import (
 )
 from repro.queueing.broker import QueueBroker
 from repro.queueing.mpmc import MpmcQueue
+from repro.queueing.priority import BucketedWorklist
 from repro.queueing.stealing import StealingWorklist
 from repro.sim.spec import GpuSpec
 
@@ -91,8 +92,11 @@ class TestLiveRuns:
         direct = Collector()
         run_app("bfs", small_rmat, CONFIGS["discrete-CTA"], spec=SPEC, sink=direct)
         chained = Collector()
-        monitor = InvariantMonitor(forward=chained)
-        run_app("bfs", small_rmat, CONFIGS["discrete-CTA"], spec=SPEC, sink=monitor)
+        monitor = InvariantMonitor()
+        run_app(
+            "bfs", small_rmat, CONFIGS["discrete-CTA"], spec=SPEC,
+            sink=MultiSink(monitor, chained),
+        )
         assert direct.digest() == chained.digest()
 
     def test_reconcile_accepts_run_result(self):
@@ -489,6 +493,13 @@ class TestQueueConservationEquation:
         steal.push(np.arange(8, dtype=np.int64), 0.0, home=2)
         steal.pop(2, 1.0, home=0)  # forces a steal + banking push
         verify_queue_conservation(steal)
+        buckets = BucketedWorklist(1.0, num_buckets=4, name="bk")
+        buckets.push(np.arange(6, dtype=np.int64), np.arange(6.0))
+        buckets.pop(2)
+        verify_queue_conservation(buckets)
+        buckets.queues[1].stats.items_popped += 1  # fake a pop that never happened
+        with pytest.raises(InvariantViolation, match=r"bk\[1\]"):
+            verify_queue_conservation(buckets)
 
 
 # ---------------------------------------------------------------------------

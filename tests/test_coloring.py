@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps import coloring, run_app
 from repro.apps.coloring import _min_available_color
+from repro.check import validate
 from repro.core.config import DISCRETE_WARP, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
@@ -42,16 +43,16 @@ class TestMinAvailableColor:
 class TestValidation:
     def test_proper_coloring_detected(self):
         g = path_graph(4)
-        assert coloring.validate_coloring(g, np.array([0, 1, 0, 1]))
+        assert validate("coloring", g, np.array([0, 1, 0, 1])).ok
 
     def test_conflict_detected(self):
         g = path_graph(3)
-        assert not coloring.validate_coloring(g, np.array([0, 0, 1]))
+        assert not validate("coloring", g, np.array([0, 0, 1])).ok
         assert coloring.count_conflicts(g, np.array([0, 0, 1])) == 2  # both directions
 
     def test_uncolored_rejected(self):
         g = path_graph(2)
-        assert not coloring.validate_coloring(g, np.array([-1, 0]))
+        assert not validate("coloring", g, np.array([-1, 0])).ok
 
 
 class TestBspColoring:
@@ -70,7 +71,7 @@ class TestBspColoring:
     def test_produces_proper_coloring(self, graph_factory):
         g = graph_factory()
         res = coloring.run_bsp(g, spec=SPEC)
-        assert coloring.validate_coloring(g, res.output)
+        assert validate("coloring", g, res.output).ok
 
     def test_complete_graph_needs_n_colors(self):
         g = complete_graph(7)
@@ -97,18 +98,18 @@ class TestAsyncColoring:
     def test_produces_proper_coloring_grid(self, cfg):
         g = grid_mesh(8, 8)
         res = run_app("coloring", g, cfg, spec=SPEC)
-        assert coloring.validate_coloring(g, res.output)
+        assert validate("coloring", g, res.output).ok
 
     @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=lambda c: c.name)
     def test_produces_proper_coloring_rmat(self, cfg):
         g = rmat(7, edge_factor=6, seed=3)
         res = run_app("coloring", g, cfg, spec=SPEC)
-        assert coloring.validate_coloring(g, res.output)
+        assert validate("coloring", g, res.output).ok
 
     def test_complete_graph(self):
         g = complete_graph(8)
         res = run_app("coloring", g, PERSIST_WARP, spec=SPEC)
-        assert coloring.validate_coloring(g, res.output)
+        assert validate("coloring", g, res.output).ok
         assert res.extra["num_colors"] == 8
 
     def test_greedy_bound(self):

@@ -32,7 +32,7 @@ from repro.apps.cc import reference_components
 from repro.apps.common import get_adapter, replay_app
 from repro.apps.pagerank import DEFAULT_EPSILON, DEFAULT_LAMBDA, reference_ranks
 from repro.check.fuzz import fuzz_app
-from repro.check.oracles import ValidationReport, validate
+from repro.check.oracles import ORACLES, OracleError, ValidationReport, validate
 from repro.core.config import CONFIGS
 from repro.graph.csr import Csr, from_edges
 from repro.graph.delta import DeltaCsr, EditBatch, EditScript, parse_edits
@@ -353,6 +353,18 @@ def test_fuzz_dynamic_detects_a_lying_validator(graph):
 def test_fuzz_dynamic_rejects_static_app(graph):
     with pytest.raises(ValueError, match="not dynamic"):
         fuzz_app("pagerank", graph, CONFIGS["persist-CTA"], edits="2x8@1", seeds=1)
+
+
+def test_validated_replay_names_the_failing_epoch(graph, monkeypatch):
+    """A validated replay's OracleError says which epoch failed."""
+    def fails_on_edits(g, labels, **params):
+        rep = ValidationReport(app="cc-inc")
+        rep.add("unedited", g is graph, "planted failure on an edited snapshot")
+        return rep
+
+    monkeypatch.setitem(ORACLES, "cc-inc", fails_on_edits)
+    with pytest.raises(OracleError, match="epoch1:"):
+        replay_app("cc-inc", graph, CONFIGS["persist-CTA"], "2x8@1", validate=True)
 
 
 def test_validated_replay_matches_oracle_by_hand(graph):

@@ -11,7 +11,8 @@ from repro import (
     Lab,
     load_dataset,
 )
-from repro.apps import bfs, coloring, pagerank, run_app
+from repro.apps import pagerank, run_app
+from repro.check import validate
 from repro.graph.permute import permute_vertices
 from repro.sim.spec import GpuSpec
 
@@ -30,7 +31,7 @@ class TestAllAppsAllDatasets:
         g = load_dataset(key, "tiny")
         for cfg in (PERSIST_WARP, PERSIST_CTA, DISCRETE_CTA):
             res = run_app("bfs", g, cfg, spec=SPEC)
-            assert bfs.validate_depths(g, res.output), (key, cfg.name)
+            assert validate("bfs", g, res.output).ok, (key, cfg.name)
 
     @pytest.mark.parametrize("key", ["soc-LiveJournal1", "roadNet-CA"])
     def test_pagerank_all_variants(self, key):
@@ -45,7 +46,7 @@ class TestAllAppsAllDatasets:
         g = load_dataset(key, "tiny")
         for cfg in (PERSIST_WARP, PERSIST_CTA, DISCRETE_WARP):
             res = run_app("coloring", g, cfg, spec=SPEC)
-            assert coloring.validate_coloring(g, res.output), (key, cfg.name)
+            assert validate("coloring", g, res.output).ok, (key, cfg.name)
 
 
 class TestInvarianceUnderPermutation:
@@ -64,7 +65,7 @@ class TestInvarianceUnderPermutation:
         g = load_dataset("soc-LiveJournal1", "tiny")
         pg = permute_vertices(g, seed=11)
         res = run_app("coloring", pg, DISCRETE_WARP, spec=SPEC)
-        assert coloring.validate_coloring(pg, res.output)
+        assert validate("coloring", pg, res.output).ok
 
 
 class TestHeadlineShapes:

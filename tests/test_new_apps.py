@@ -6,6 +6,7 @@ import pytest
 import networkx as nx
 
 from repro.apps import kcore, mis, run_app
+from repro.check import validate
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
@@ -63,7 +64,7 @@ class TestKcore:
     def test_bsp_exact(self, graph_factory):
         g = graph_factory()
         res = kcore.run_bsp(g, spec=SPEC)
-        assert kcore.validate_core_numbers(g, res.output)
+        assert validate("kcore", g, res.output).ok
 
     @pytest.mark.parametrize(
         "cfg", (PERSIST_WARP, PERSIST_CTA, DISCRETE_CTA), ids=lambda c: c.name
@@ -71,12 +72,12 @@ class TestKcore:
     def test_atos_exact(self, cfg):
         g = rmat(7, edge_factor=4, seed=9)
         res = run_app("kcore", g, cfg, spec=SPEC)
-        assert kcore.validate_core_numbers(g, res.output)
+        assert validate("kcore", g, res.output).ok
 
     def test_atos_exact_on_grid(self):
         g = grid_mesh(7, 7)
         res = run_app("kcore", g, PERSIST_WARP, spec=SPEC)
-        assert kcore.validate_core_numbers(g, res.output)
+        assert validate("kcore", g, res.output).ok
 
     def test_deterministic(self):
         g = grid_mesh(5, 5)
@@ -92,7 +93,7 @@ class TestKcore:
         g = from_edges(4, [(0, 1), (1, 0)])
         res = run_app("kcore", g, PERSIST_WARP, spec=SPEC)
         assert res.output[2] == 0 and res.output[3] == 0
-        assert kcore.validate_core_numbers(g, res.output)
+        assert validate("kcore", g, res.output).ok
 
 
 class TestMisReference:
@@ -124,7 +125,7 @@ class TestMis:
     def test_bsp_matches_lexicographic(self, graph_factory):
         g = graph_factory()
         res = mis.run_bsp(g, spec=SPEC)
-        assert mis.validate_mis(g, res.output)
+        assert validate("mis", g, res.output).ok
 
     @pytest.mark.parametrize(
         "cfg", (PERSIST_WARP, PERSIST_CTA, DISCRETE_CTA), ids=lambda c: c.name
@@ -132,12 +133,12 @@ class TestMis:
     def test_atos_matches_lexicographic(self, cfg):
         g = rmat(7, edge_factor=4, seed=5)
         res = run_app("mis", g, cfg, spec=SPEC)
-        assert mis.validate_mis(g, res.output)
+        assert validate("mis", g, res.output).ok
 
     def test_atos_on_grid(self):
         g = grid_mesh(8, 8)
         res = run_app("mis", g, PERSIST_WARP, spec=SPEC)
-        assert mis.validate_mis(g, res.output)
+        assert validate("mis", g, res.output).ok
 
     def test_speculation_overwork_measured(self):
         """Chaotic evaluation re-evaluates at least |V| times."""

@@ -25,7 +25,7 @@ from repro.core.policy import (
     policy_for,
     run_policy,
 )
-from repro.obs import Collector, PolicySwitch
+from repro.obs import Collector, MultiSink, PolicySwitch
 from repro.queueing import (
     BucketedWorklist,
     QueueBroker,
@@ -296,9 +296,9 @@ class TestHybridWatermarkProperty:
         from repro.check.invariants import InvariantMonitor
 
         sink = Collector()
-        monitor = InvariantMonitor(forward=sink)
+        monitor = InvariantMonitor()
         kernel = ChainBurstKernel()
-        res = run_policy(kernel, cfg, sink=monitor)
+        res = run_policy(kernel, cfg, sink=MultiSink(monitor, sink))
         monitor.reconcile(res)
         assert monitor.ok, [str(v) for v in monitor.violations]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import delta_sssp, sssp
+from repro.check import validate
 from repro.graph.generators import grid_mesh, path_graph, rmat, road_network
 from repro.queueing.priority import BucketedWorklist
 from repro.sim.spec import GpuSpec
@@ -70,19 +71,19 @@ class TestDeltaStepping:
         g = grid_mesh(7, 7)
         w = sssp.random_weights(g, seed=5)
         res = delta_sssp.run_delta_stepping(g, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_exact_on_rmat(self):
         g = rmat(7, edge_factor=4, seed=6)
         w = sssp.random_weights(g, seed=2)
         res = delta_sssp.run_delta_stepping(g, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_exact_on_road(self):
         g = road_network(15, 15, seed=2)
         w = sssp.random_weights(g, low=1, high=30, seed=9)
         res = delta_sssp.run_delta_stepping(g, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_unit_weights(self):
         g = path_graph(12)
@@ -95,7 +96,7 @@ class TestDeltaStepping:
         g = grid_mesh(6, 6)
         w = sssp.random_weights(g, seed=1)
         res = delta_sssp.run_delta_stepping(g, weights=w, delta=delta, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_large_delta_behaves_like_bellman_ford(self):
         """delta -> inf: one bucket = unordered frontier relaxation."""
@@ -103,7 +104,7 @@ class TestDeltaStepping:
         w = sssp.random_weights(g, low=1, high=10, seed=3)
         huge = delta_sssp.run_delta_stepping(g, weights=w, delta=1e9, spec=SPEC)
         bf = sssp.run_bellman_ford(g, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, huge.output)
+        assert validate("sssp", g, huge.output, weights=w).ok
         # same ballpark of relaxations as Bellman-Ford
         assert huge.work_units <= bf.work_units * 1.5
 

@@ -12,7 +12,8 @@ These are the load-bearing correctness guarantees of the reproduction:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import bfs, coloring, pagerank, run_app
+from repro.apps import bfs, pagerank, run_app
+from repro.check import validate
 from repro.core.config import AtosConfig, KernelStrategy
 from repro.graph.csr import from_edges
 from repro.sim.spec import GpuSpec
@@ -58,14 +59,14 @@ def atos_configs(draw):
 def test_speculative_bfs_always_exact(graph, config, seed):
     source = seed % graph.num_vertices
     res = run_app("bfs", graph, config, source=source, spec=SPEC)
-    assert bfs.validate_depths(graph, res.output, source)
+    assert validate("bfs", graph, res.output, source=source).ok
 
 
 @given(symmetric_graphs(), atos_configs())
 @settings(max_examples=40, deadline=None)
 def test_async_coloring_always_proper(graph, config):
     res = run_app("coloring", graph, config, spec=SPEC)
-    assert coloring.validate_coloring(graph, res.output)
+    assert validate("coloring", graph, res.output).ok
     # greedy bound
     assert res.output.max() <= graph.out_degrees().max()
 
@@ -102,10 +103,8 @@ def test_bsp_and_atos_bfs_agree(graph, seed):
 @given(symmetric_graphs(), atos_configs())
 @settings(max_examples=30, deadline=None)
 def test_connected_components_always_exact(graph, config):
-    from repro.apps import cc
-
     res = run_app("cc", graph, config, spec=SPEC)
-    assert cc.validate_components(graph, res.output)
+    assert validate("cc", graph, res.output).ok
 
 
 @given(symmetric_graphs(), atos_configs(), st.integers(0, 10_000))
@@ -116,26 +115,23 @@ def test_speculative_sssp_always_exact(graph, config, seed):
     weights = sssp.random_weights(graph, low=1.0, high=9.0, seed=seed % 97)
     source = seed % graph.num_vertices
     res = run_app("sssp", graph, config, weights=weights, source=source, spec=SPEC)
-    assert sssp.validate_distances(graph, weights, res.output, source)
+    assert validate("sssp", graph, res.output, weights=weights, source=source).ok
 
 
 @given(symmetric_graphs(), atos_configs())
 @settings(max_examples=25, deadline=None)
 def test_mis_always_lexicographic(graph, config):
-    from repro.apps import mis
-
     res = run_app("mis", graph, config, spec=SPEC)
-    assert mis.validate_mis(graph, res.output)
+    assert validate("mis", graph, res.output).ok
 
 
 @given(symmetric_graphs())
 @settings(max_examples=20, deadline=None)
 def test_kcore_always_exact(graph):
-    from repro.apps import kcore
     from repro.core.config import PERSIST_WARP
 
     res = run_app("kcore", graph, PERSIST_WARP, spec=SPEC)
-    assert kcore.validate_core_numbers(graph, res.output)
+    assert validate("kcore", graph, res.output).ok
 
 
 @given(symmetric_graphs(), st.floats(0.5, 50.0))
@@ -145,4 +141,4 @@ def test_delta_stepping_always_exact(graph, delta):
 
     weights = sssp.random_weights(graph, low=1.0, high=9.0, seed=3)
     res = delta_sssp.run_delta_stepping(graph, weights=weights, delta=delta, spec=SPEC)
-    assert sssp.validate_distances(graph, weights, res.output)
+    assert validate("sssp", graph, res.output, weights=weights).ok

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import run_app, sssp
+from repro.check import validate
 from repro.core.config import DISCRETE_CTA, PERSIST_CTA, PERSIST_WARP
 from repro.graph.csr import from_edges
 from repro.graph.generators import grid_mesh, path_graph, rmat
@@ -65,7 +66,7 @@ class TestBellmanFord:
         g = grid_mesh(6, 6)
         w = sssp.random_weights(g, seed=3)
         res = sssp.run_bellman_ford(g, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_unit_weights_match_bfs_depths(self):
         g = grid_mesh(5, 5)
@@ -85,7 +86,7 @@ class TestBellmanFord:
         for u, v in g.edges():
             w.append(10.0 * v if u == 0 else 0.1)
         res = sssp.run_bellman_ford(g, weights=np.array(w), spec=SPEC)
-        assert sssp.validate_distances(g, np.array(w), res.output)
+        assert validate("sssp", g, res.output, weights=np.array(w)).ok
         assert res.iterations > 2  # re-relaxation happened
 
     def test_iteration_guard(self):
@@ -107,13 +108,13 @@ class TestSpeculativeSssp:
         g = rmat(7, edge_factor=5, seed=6)
         w = sssp.random_weights(g, seed=7)
         res = run_app("sssp", g, cfg, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_exact_on_mesh(self):
         g = grid_mesh(8, 8)
         w = sssp.random_weights(g, seed=1)
         res = run_app("sssp", g, PERSIST_WARP, weights=w, spec=SPEC)
-        assert sssp.validate_distances(g, w, res.output)
+        assert validate("sssp", g, res.output, weights=w).ok
 
     def test_default_unit_weights(self):
         g = grid_mesh(5, 5)

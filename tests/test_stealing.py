@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps import bfs, coloring, run_app
+from repro.apps import run_app
+from repro.check import validate
 from repro.core.config import PERSIST_WARP, AtosConfig
 from repro.graph.generators import grid_mesh, rmat
 from repro.queueing.stealing import StealingWorklist
@@ -150,12 +151,12 @@ class TestSchedulerIntegration:
     def test_bfs_correct_under_stealing(self):
         g = grid_mesh(8, 8)
         res = run_app("bfs", g, STEAL_CFG, spec=SPEC)
-        assert bfs.validate_depths(g, res.output)
+        assert validate("bfs", g, res.output).ok
 
     def test_coloring_correct_under_stealing(self):
         g = rmat(7, edge_factor=4, seed=2)
         res = run_app("coloring", g, STEAL_CFG, spec=SPEC)
-        assert coloring.validate_coloring(g, res.output)
+        assert validate("coloring", g, res.output).ok
 
     def test_invalid_worklist_name_rejected(self):
         with pytest.raises(ValueError, match="worklist"):
@@ -204,7 +205,7 @@ class TestSchedulerIntegration:
         g = rmat(8, edge_factor=6, seed=4)
         shared = run_app("bfs", g, PERSIST_WARP, spec=SPEC)
         steal = run_app("bfs", g, STEAL_CFG, spec=SPEC)
-        assert bfs.validate_depths(g, steal.output)
+        assert validate("bfs", g, steal.output).ok
         assert shared.elapsed_ns <= steal.elapsed_ns * 1.5
 
 
