@@ -12,8 +12,9 @@ Each application module provides:
 * an :class:`AppAdapter` registering both, so :func:`run_app` runs the
   app under any configuration and returns an :class:`AppResult` with
   timing, workload and correctness artifacts;
-* validators that check the algorithm-level invariants (exact BFS depths,
-  PageRank fixed point, proper coloring).
+* pure-NumPy references (exact BFS depths, the PageRank fixed point,
+  coloring conflicts) that the answer oracles in :mod:`repro.check.oracles`
+  check a run against; :func:`repro.check.validate` is the one answer check.
 """
 
 from repro.apps.common import (
