@@ -106,28 +106,6 @@ def _spec_from_args(parser: argparse.ArgumentParser, args, config: str):
     return spec
 
 
-def _observed_spec(parser: argparse.ArgumentParser, args):
-    """The cell ``trace``, ``metrics`` and ``dash --app`` run with a sink attached.
-
-    It must emit one engine event stream: a dynamic app's replay restarts
-    the clock every epoch, and an application-level config emits nothing.
-    """
-    from repro.core.policy import policy_for
-
-    spec = _spec_from_args(parser, args, args.config)
-    if spec.edits is not None:
-        parser.error(
-            f"{spec.app!r} is a dynamic app whose edit replay restarts the clock "
-            "every epoch; run it with 'repro run' or 'repro check'"
-        )
-    if policy_for(spec.atos_config()).app_level:
-        parser.error(
-            f"config {spec.impl!r} runs at application level and emits no "
-            "engine events; pick an engine-level config"
-        )
-    return spec
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="python -m repro",
@@ -174,7 +152,7 @@ def _run_trace(argv: list[str]) -> int:
 
     parser = _build_trace_parser()
     args = parser.parse_args(argv)
-    spec = _observed_spec(parser, args)
+    spec = _spec_from_args(parser, args, args.config)
     sink = Collector()
     result = execute_spec(spec, sink=sink)
     write_chrome_trace(sink, args.out)
@@ -184,7 +162,8 @@ def _run_trace(argv: list[str]) -> int:
         f"size={spec.size}: {len(sink.events)} events -> {args.out}"
     )
     print(f"digest: {sink.digest()}")
-    metrics = flat_metrics(sink, elapsed_ns=result.elapsed_ns)
+    elapsed_ns = result.extra.get("replay_total_elapsed_ns", result.elapsed_ns)
+    metrics = flat_metrics(sink, elapsed_ns=elapsed_ns)
     print(
         "reconcile: "
         f"tasks={metrics['tasks']} retired={metrics['items_retired']} "
@@ -195,7 +174,7 @@ def _run_trace(argv: list[str]) -> int:
     print(
         format_profile(
             sink,
-            elapsed_ns=result.elapsed_ns,
+            elapsed_ns=elapsed_ns,
             worker_slots=result.extra.get("worker_slots"),
             config_name=spec.impl,
         )
@@ -377,6 +356,7 @@ def _build_check_parser() -> argparse.ArgumentParser:
 def _run_check(argv: list[str]) -> int:
     from repro.apps.common import get_adapter
     from repro.check.fuzz import fuzz_app
+    from repro.check.invariants import InvariantMonitor
     from repro.check.oracles import validate
     from repro.core.config import CONFIGS
     from repro.core.policy import policy_for
@@ -405,8 +385,12 @@ def _run_check(argv: list[str]) -> int:
     for spec in specs:
         config = spec.atos_config()
         if policy_for(config).app_level:
-            report = validate(spec.app, graph, execute_spec(spec))
-            bad = [str(c) for c in report.failures]
+            # the BSP timeline's stream, under the monitor the fuzzer attaches
+            monitor = InvariantMonitor()
+            result = execute_spec(spec, sink=monitor)
+            monitor.reconcile(result)
+            report = validate(spec.app, graph, result)
+            bad = [str(v) for v in monitor.violations] + [str(c) for c in report.failures]
         else:
             # seed 0 at amplitude 0 is the unperturbed schedule, with the
             # fuzzer's invariant monitor and oracle attached
@@ -587,7 +571,7 @@ def _run_metrics(argv: list[str]) -> int:
         return 0
     if not args.app or not args.dataset:
         parser.error("app and dataset are required (or --write-baseline)")
-    spec = _observed_spec(parser, args)
+    spec = _spec_from_args(parser, args, args.config)
     summary = execute_spec(spec, metrics=True).extra["metrics"]
     problems = validate_summary(summary)
     print(format_dashboard(summary))
@@ -898,7 +882,7 @@ def _run_dash(argv: list[str]) -> int:
         from repro.obs import Collector
         from repro.service.jobs import execute_spec
 
-        spec = _observed_spec(parser, args)
+        spec = _spec_from_args(parser, args, args.config)
         sink = Collector()
         result = execute_spec(spec, sink=sink, metrics=True)
         snapshot = collector_snapshot(sink, result, config=spec.impl)

@@ -128,6 +128,7 @@ def run_bsp(
     *,
     source: int = 0,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     strategy: str = "lbs",
     direction_optimized: bool = False,
     do_alpha: float = 0.05,
@@ -147,7 +148,7 @@ def run_bsp(
     """
     if direction_optimized:
         return _run_bsp_direction_optimized(
-            graph, source=source, spec=spec, strategy=strategy, alpha=do_alpha
+            graph, source=source, spec=spec, sink=sink, strategy=strategy, alpha=do_alpha
         )
     n = graph.num_vertices
     if not (0 <= source < n):
@@ -155,7 +156,7 @@ def run_bsp(
     depth = np.full(n, UNREACHED, dtype=np.int64)
     depth[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
 
     while frontier.size:
         _, nbrs = graph.gather_neighbors(frontier)
@@ -196,6 +197,7 @@ def _run_bsp_direction_optimized(
     *,
     source: int,
     spec: GpuSpec,
+    sink,
     strategy: str,
     alpha: float,
 ) -> AppResult:
@@ -217,7 +219,7 @@ def _run_bsp_direction_optimized(
     depth = np.full(n, UNREACHED, dtype=np.int64)
     depth[source] = 0
     frontier = np.asarray([source], dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     level = 0
     pull_iterations = 0
 

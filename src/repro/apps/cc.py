@@ -116,13 +116,14 @@ def run_bsp(
     graph: Csr,
     *,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_iterations: int | None = None,
 ) -> AppResult:
     """BSP min-label propagation: one frontier sweep per kernel."""
     n = graph.num_vertices
     labels = np.arange(n, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     limit = max_iterations if max_iterations is not None else n + 1
 
     while frontier.size:

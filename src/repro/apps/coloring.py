@@ -247,6 +247,7 @@ def run_bsp(
     graph: Csr,
     *,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_iterations: int = 10_000,
 ) -> AppResult:
     """BSP speculative greedy coloring (paper Algorithm 5).
@@ -259,7 +260,7 @@ def run_bsp(
     n = graph.num_vertices
     colors = np.full(n, UNCOLORED, dtype=np.int64)
     frontier = np.arange(n, dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
 
     while frontier.size:
         if timeline.iterations >= max_iterations:

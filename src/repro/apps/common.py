@@ -352,14 +352,15 @@ def replay_app(
     static run is a replay with no edit batches.  Only dynamic adapters,
     whose kernels implement ``rebase``, take edits.
 
-    App-level policies (BSP) call the adapter's frontier engine.
-    Engine-level policies build one kernel and one sink stack — ``sink``,
-    a :class:`~repro.metrics.sink.MetricsSink` for ``metrics``, an
-    :class:`~repro.check.invariants.InvariantMonitor` for ``validate`` —
-    and run epoch 0 under :func:`~repro.core.policy.run_policy`; each
-    batch then emits an :class:`~repro.obs.events.EpochMark`, rebases the
-    kernel and runs again from the previous fixpoint.  Sinks are passive:
-    any combination leaves simulated results bit-identical.
+    Every run gets one sink stack — ``sink``, a
+    :class:`~repro.metrics.sink.MetricsSink` for ``metrics``, an
+    :class:`~repro.check.invariants.InvariantMonitor` for ``validate``.
+    App-level policies (BSP) hand it to the adapter's frontier engine.
+    Engine-level policies build one kernel and run epoch 0 under
+    :func:`~repro.core.policy.run_policy`; each batch then emits an
+    :class:`~repro.obs.events.EpochMark`, rebases the kernel and runs
+    again from the previous fixpoint.  Sinks are passive: any combination
+    leaves simulated results bit-identical.
 
     A replay folds its totals into the final epoch's ``extra``
     (``replay_*``); ``metrics`` adds one summary over every epoch there.
@@ -386,6 +387,17 @@ def replay_app(
             raise ValueError("edit script was generated against a different graph")
     policy = policy_for(config)
     metrics_sink = monitor = None
+    if metrics:
+        from repro.metrics.sink import MetricsSink
+
+        metrics_sink = metrics if isinstance(metrics, MetricsSink) else MetricsSink()
+    if validate:
+        from repro.check.invariants import InvariantMonitor
+
+        monitor = InvariantMonitor()
+    # one sink stack rides every epoch; a MultiSink only to fan out
+    attached = [s for s in (sink, metrics_sink, monitor) if s is not None]
+    stream = MultiSink(*attached) if len(attached) > 1 else (attached or [None])[0]
     if policy.app_level:
         if adapter.bsp is None:
             raise ValueError(f"app {app!r} has no BSP implementation")
@@ -394,12 +406,7 @@ def replay_app(
                 f"policy {policy.name!r} runs at application level; "
                 "perturb requires an engine-level policy"
             )
-        if metrics:
-            raise ValueError(
-                f"policy {policy.name!r} runs at application level and emits "
-                "no engine events; metrics requires an engine-level policy"
-            )
-        epochs = [EpochResult(0, graph, None, adapter.bsp(graph, spec=spec, **params))]
+        epochs = [EpochResult(0, graph, None, adapter.bsp(graph, spec=spec, sink=stream, **params))]
     else:
         if adapter.make_kernel is None:
             raise ValueError(
@@ -408,17 +415,6 @@ def replay_app(
         if adapter.tune_config is not None:
             config = adapter.tune_config(config)
         kernel = adapter.make_kernel(graph, **params)
-        if metrics:
-            from repro.metrics.sink import MetricsSink
-
-            metrics_sink = metrics if isinstance(metrics, MetricsSink) else MetricsSink()
-        if validate:
-            from repro.check.invariants import InvariantMonitor
-
-            monitor = InvariantMonitor()
-        # one sink stack rides every epoch; a MultiSink only to fan out
-        attached = [s for s in (sink, metrics_sink, monitor) if s is not None]
-        stream = MultiSink(*attached) if len(attached) > 1 else (attached or [None])[0]
         epochs = []
         work_done = 0.0
         batches = script.replay() if script is not None else ()

@@ -46,6 +46,7 @@ def run_delta_stepping(
     source: int = 0,
     delta: float | None = None,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_rounds: int | None = None,
 ) -> AppResult:
     """Bucket-synchronous delta-stepping SSSP.
@@ -72,7 +73,7 @@ def run_delta_stepping(
     dist = np.full(n, UNREACHED)
     dist[source] = 0.0
     worklist = BucketedWorklist(delta, atomic_ns=spec.atomic_queue_ns)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     worklist.push(np.asarray([source], dtype=np.int64), np.asarray([0.0]), timeline.now)
     rounds = 0
     limit = max_rounds if max_rounds is not None else 50 * n + 100

@@ -122,6 +122,7 @@ def run_bsp(
     graph: Csr,
     *,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_iterations: int | None = None,
 ) -> AppResult:
     """BSP peeling: one frontier of sub-threshold vertices per kernel."""
@@ -131,7 +132,7 @@ def run_bsp(
     eff = graph.out_degrees().astype(np.int64)
     core = np.full(n, -1, dtype=np.int64)
     k = 0
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     iterations = 0
     limit = max_iterations if max_iterations is not None else 10 * n + 100
 

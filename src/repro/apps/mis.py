@@ -141,13 +141,14 @@ def run_bsp(
     graph: Csr,
     *,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_iterations: int | None = None,
 ) -> AppResult:
     """BSP chaotic iteration: re-evaluate a frontier per kernel."""
     n = graph.num_vertices
     status = np.zeros(n, dtype=np.int8)
     frontier = np.arange(n, dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     limit = max_iterations if max_iterations is not None else n + 2
 
     while frontier.size:

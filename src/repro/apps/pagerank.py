@@ -291,6 +291,7 @@ def run_bsp(
     lam: float = DEFAULT_LAMBDA,
     epsilon: float = DEFAULT_EPSILON,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     strategy: str = "lbs",
     max_iterations: int = 10_000,
 ) -> AppResult:
@@ -305,7 +306,7 @@ def run_bsp(
     residue = np.full(n, 1.0 - lam, dtype=np.float64)
     out_deg = graph.out_degrees()
     frontier = np.arange(n, dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
 
     while frontier.size:
         if timeline.iterations >= max_iterations:

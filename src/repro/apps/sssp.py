@@ -148,6 +148,7 @@ def run_bellman_ford(
     weights: np.ndarray | None = None,
     source: int = 0,
     spec: GpuSpec = V100_SPEC,
+    sink=None,
     max_iterations: int | None = None,
 ) -> AppResult:
     """Frontier Bellman-Ford: the unordered BSP baseline.
@@ -168,7 +169,7 @@ def run_bellman_ford(
     dist = np.full(n, UNREACHED)
     dist[source] = 0.0
     frontier = np.asarray([source], dtype=np.int64)
-    timeline = BspTimeline(spec=spec)
+    timeline = BspTimeline(spec=spec, sink=sink)
     limit = max_iterations if max_iterations is not None else n + 1
 
     while frontier.size:

@@ -2,7 +2,8 @@
 
 The BSP model launches one (or more) kernels per outer-loop iteration with a
 global barrier in between.  :class:`BspTimeline` accumulates the simulated
-cost of each kernel + barrier and the per-iteration throughput trace; the
+cost of each kernel + barrier and the per-iteration throughput trace, and
+emits each kernel to the run's sink as the engine's event types; the
 application modules drive it with their vectorised per-frontier steps.
 """
 

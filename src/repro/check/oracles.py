@@ -252,12 +252,12 @@ def oracle_cc(graph: Csr, labels: np.ndarray, **_: Any) -> ValidationReport:
     edges = sym.edge_array()
     agree = labels[edges[:, 0]] == labels[edges[:, 1]]
     rep.add("edge-agreement", bool(agree.all()), f"{int((~agree).sum())} split edges")
-    members_ok = True
-    for root in np.unique(labels):
-        members = np.flatnonzero(labels == root)
-        if members.size == 0 or members.min() != root:
-            members_ok = False
-            break
+    # one pass, not one scan per class: every label is a vertex id no
+    # larger than its member's own id, and the vertex it names carries it
+    ids = np.arange(labels.size)
+    members_ok = bool(
+        (labels >= 0).all() and (labels <= ids).all() and (labels[labels] == labels).all()
+    )
     rep.add("labels-are-min-ids", members_ok)
     return rep
 

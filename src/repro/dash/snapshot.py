@@ -64,11 +64,15 @@ def collector_snapshot(collector, result=None, *, config: str | None = None) -> 
 
     ``collector`` is a :class:`~repro.obs.Collector` that observed the
     run; ``result`` the :class:`~repro.apps.common.AppResult` (supplies
-    identity, the authoritative elapsed clock, and — when the run was
-    executed with ``metrics=True`` — the streamed-metrics summary whose
+    identity, the authoritative elapsed clock — an edit replay's
+    ``replay_total_elapsed_ns`` — and, when the run was executed with
+    ``metrics=True``, the streamed-metrics summary whose
     :class:`~repro.metrics.series.StrideSeries` panels render alongside).
     """
-    elapsed = float(result.elapsed_ns) if result is not None else collector.end_time()
+    elapsed = (
+        float(result.extra.get("replay_total_elapsed_ns", result.elapsed_ns))
+        if result is not None else collector.end_time()
+    )
     spans = [
         [int(s.worker), float(s.start), float(s.end), int(s.items), int(s.retired)]
         for s in collector.task_spans()

@@ -21,7 +21,7 @@ from repro.apps.common import AppResult, run_app
 from repro.graph.csr import Csr
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.metrics import compute_stats
-from repro.core.config import CONFIGS, AtosConfig, KernelStrategy
+from repro.core.config import AtosConfig, KernelStrategy
 from repro.harness.experiments import ALL_DATASETS, TABLE1_IMPLS
 from repro.sim.spec import V100_SPEC, GpuSpec
 
@@ -56,8 +56,8 @@ class Lab:
     #: oracle-check every run's output (repro.check.oracles); wrong
     #: answers raise instead of silently feeding a table
     validate: bool = False
-    #: stream telemetry on every engine-level run (repro.metrics): the
-    #: MetricsSummary document lands in ``result.extra["metrics"]``
+    #: stream telemetry on every run (repro.metrics): the MetricsSummary
+    #: document lands in ``result.extra["metrics"]``
     metrics: bool = False
     #: simulate every engine-level run on N devices: rebases each config
     #: onto the distributed strategy (repro.core.distributed), keeping its
@@ -80,11 +80,6 @@ class Lab:
             partition=self.partition, permuted=permuted,
         )
 
-    def _metrics_for(self, config: AtosConfig | None) -> bool:
-        """The Lab-level ``metrics`` flag for one run: BSP runs at
-        application level and emits no engine events to stream."""
-        return bool(self.metrics and config and config.strategy is not KernelStrategy.BSP)
-
     # ------------------------------------------------------------------
     def graph(self, dataset: str, *, permuted: bool = False) -> Csr:
         """A dataset stand-in at the Lab's size, optionally id-permuted."""
@@ -103,7 +98,7 @@ class Lab:
         if spec not in self._results:
             self._results[spec] = execute_spec(
                 spec, gpu=self.spec, max_tasks=self.max_tasks,
-                validate=self.validate, metrics=self._metrics_for(CONFIGS.get(impl)),
+                validate=self.validate, metrics=self.metrics,
             )
         return self._results[spec]
 
@@ -140,18 +135,11 @@ class Lab:
         from repro.perf.parallel import CellError, run_cells
 
         cells = list(cells)
-        todo = {
-            cell: self._metrics_for(CONFIGS.get(cell.impl))
-            for cell in cells
-            if cell not in self._results
-        }
-        done: dict = {}
-        for metrics in set(todo.values()):
-            part = [cell for cell, flag in todo.items() if flag is metrics]
-            done.update(zip(part, run_cells(
-                part, workers=workers, gpu=self.spec, max_tasks=self.max_tasks,
-                validate=self.validate, metrics=metrics,
-            )))
+        todo = [cell for cell in dict.fromkeys(cells) if cell not in self._results]
+        done = dict(zip(todo, run_cells(
+            todo, workers=workers, gpu=self.spec, max_tasks=self.max_tasks,
+            validate=self.validate, metrics=self.metrics,
+        )))
         for cell, res in done.items():
             if not isinstance(res, CellError):
                 self._results[cell] = res

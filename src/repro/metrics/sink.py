@@ -15,10 +15,9 @@ only
   depth, in-flight worker slots, retire throughput, steal rate and
   empty-pop rate on a fixed simulated-time grid.
 
-On an edit replay the sink rides every epoch: each epoch's engine
-restarts its clock at 0, so at every :class:`~repro.obs.events.EpochMark`
-the sink lays the next epoch after the finished one, and one summary
-covers the whole replay.
+On an edit replay the sink rides every epoch and reads every time
+through an :class:`~repro.obs.events.EpochClock`, so the epochs lie end to
+end and one summary covers the whole replay.
 
 Retained state is O(histogram buckets + series bins + live workers +
 live queues) — independent of event count.  The sink is passive: it
@@ -34,6 +33,7 @@ from repro.metrics.series import DEFAULT_MAX_BINS, DEFAULT_STRIDE_NS, StrideSeri
 from repro.obs.events import (
     Barrier,
     EmptyPop,
+    EpochClock,
     EpochMark,
     GenerationEnd,
     GenerationStart,
@@ -136,9 +136,7 @@ class MetricsSink:
         }
         self.events_seen = 0
         self.end_t = 0.0
-        #: start of the current epoch on the run's time line: 0.0 until an
-        #: EpochMark, so a static run's times pass through unchanged
-        self._offset = 0.0
+        self._clock = EpochClock()
         # live (bounded) tracking state: one slot per in-flight worker,
         # one per non-empty physical queue, one open generation bracket
         self._open_pops: dict[int, float] = {}
@@ -169,7 +167,7 @@ class MetricsSink:
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
         self.events_seen += 1
-        t = event.t + self._offset
+        t = self._clock.at(event)
         c = self.counters
         if isinstance(event, (QueuePush, QueuePop)):
             wait_hist = self.histograms["queue_wait_ns"]
@@ -261,9 +259,7 @@ class MetricsSink:
         elif isinstance(event, PolicySwitch):
             c["policy_switches"] += 1
         elif isinstance(event, EpochMark):
-            # the mark's t is the finished epoch's end; the next epoch runs
-            # on a fresh engine, with its clock at 0 and its queues empty
-            self._offset = t
+            # the next epoch runs on a fresh engine, its queues empty
             self._queue_depths.clear()
             self._queue_total = 0
         if t > self.end_t:

@@ -3,7 +3,8 @@
 A zero-overhead-when-disabled tracing and metrics subsystem threaded
 through the scheduler, queueing and BSP layers:
 
-* :mod:`repro.obs.events` — typed simulation events + ``EventSink``;
+* :mod:`repro.obs.events` — typed simulation events, ``EventSink`` and
+  the ``EpochClock`` that lays an edit replay's epochs end to end;
 * :mod:`repro.obs.collector` — in-memory collector with per-worker
   timelines, queue-depth series and occupancy summaries;
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
@@ -16,6 +17,10 @@ Attach a :class:`Collector` via the ``sink=`` argument of
 or from a shell::
 
     python -m repro trace bfs roadnet_ca_sim --config persist-warp --out trace.json
+
+Every run emits one stream: the BSP baseline's timeline and an edit
+replay reach the same sinks as an engine run (``--config BSP``,
+``bfs-inc``).
 """
 
 from repro.obs.collector import Collector, TaskSpan, WorkerSummary

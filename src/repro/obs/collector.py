@@ -10,7 +10,9 @@ it appends every event to a list and derives, on demand,
   determinism check — two same-seed runs must produce identical digests.
 
 All analyses are computed lazily from the raw event list, so collecting is
-a single ``list.append`` per event.
+a single ``list.append`` per event.  The timelines read times through an
+:class:`~repro.obs.events.EpochClock`, so an edit replay's epochs lie end
+to end; :attr:`Collector.events` and :meth:`Collector.digest` stay raw.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from repro.obs.events import (
     Barrier,
     EmptyPop,
+    EpochClock,
     KernelLaunch,
     QueuePop,
     QueuePush,
@@ -98,19 +101,21 @@ class Collector:
         A worker slot processes one task at a time, so its ``TaskComplete``
         always matches its most recent ``TaskPop``.
         """
-        open_pops: dict[int, TaskPop] = {}
+        clock = EpochClock()
+        open_pops: dict[int, float] = {}
         spans: list[TaskSpan] = []
         for e in self.events:
+            t = clock.at(e)
             if isinstance(e, TaskPop):
-                open_pops[e.worker] = e
+                open_pops[e.worker] = t
             elif isinstance(e, TaskComplete):
-                pop = open_pops.pop(e.worker, None)
-                if pop is not None:
+                start = open_pops.pop(e.worker, None)
+                if start is not None:
                     spans.append(
                         TaskSpan(
                             worker=e.worker,
-                            start=pop.t,
-                            end=e.t,
+                            start=start,
+                            end=t,
                             items=e.items,
                             retired=e.retired,
                         )
@@ -147,14 +152,16 @@ class Collector:
     def queue_depth_series(self) -> list[tuple[float, int]]:
         """``(t, total_depth)`` after every queue push/pop, summed over all
         physical queues.  Ends at 0 when the run drained everything."""
+        clock = EpochClock()
         depths: dict[str, int] = {}
         total = 0
         series: list[tuple[float, int]] = []
         for e in self.events:
+            t = clock.at(e)
             if isinstance(e, (QueuePush, QueuePop)):
                 total += e.depth - depths.get(e.queue, 0)
                 depths[e.queue] = e.depth
-                series.append((e.t, total))
+                series.append((t, total))
         return series
 
     # ------------------------------------------------------------------
@@ -162,9 +169,10 @@ class Collector:
     # ------------------------------------------------------------------
     def end_time(self) -> float:
         """Latest instant observed (including launch/barrier extents)."""
+        clock = EpochClock()
         end = 0.0
         for e in self.events:
-            t = e.t
+            t = clock.at(e)
             if isinstance(e, (KernelLaunch, Barrier)):
                 t += e.duration_ns
             if t > end:

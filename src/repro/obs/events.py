@@ -15,11 +15,16 @@ Two producers emit them:
   :class:`QueuePop`, :class:`EmptyPop` and :class:`QueueSteal` — one event
   per physical-queue atomic operation, carrying the queue's depth after the
   operation and the contention wait the atomic induced;
-* the **scheduler layer** (:mod:`repro.core.engine`,
-  :mod:`repro.bsp.engine`) emits :class:`TaskPop`, :class:`TaskRead`,
-  :class:`TaskComplete`, :class:`KernelLaunch`, :class:`Barrier` and
+* the **scheduler layer** (:mod:`repro.core.engine`) emits
+  :class:`TaskPop`, :class:`TaskRead`, :class:`TaskComplete`,
+  :class:`KernelLaunch`, :class:`Barrier` and
   :class:`GenerationStart`/:class:`GenerationEnd` — the worker-visible
-  lifecycle.
+  lifecycle;
+* the **BSP baseline** (:class:`repro.bsp.engine.BspTimeline`) emits the
+  same scheduler types, one generation per iteration.
+
+An edit replay emits an :class:`EpochMark` between epochs, and an
+:class:`EpochClock` lays its epochs end to end.
 
 Because every field is a plain number or string and the simulation is
 bit-deterministic for a fixed seed, the ``repr`` of an event stream is
@@ -44,6 +49,7 @@ __all__ = [
     "RemotePush",
     "RemoteSteal",
     "EpochMark",
+    "EpochClock",
     "GenerationStart",
     "GenerationEnd",
     "KernelLaunch",
@@ -241,16 +247,36 @@ class EpochMark(TraceEvent):
     engine drained and **before** the next epoch's run begins — i.e. at a
     quiescent instant: no tasks in flight, every queue empty.  ``t`` is
     the finishing epoch's elapsed simulated time; per-epoch runs restart
-    their clocks at 0, so consumers tracking simulated time treat this
-    event as a clock reset (the invariant monitor resets its queue/worker
-    clocks, the metrics sink lays the next epoch after this one).
-    ``inserts``/``deletes`` count the *effective* edge changes of the
-    batch that produced the next epoch's graph.
+    their clocks at 0, so the invariant monitor resets its queue/worker
+    clocks here, and every derived view reads the stream through an
+    :class:`EpochClock`.  ``inserts``/``deletes`` count the *effective*
+    edge changes of the batch that produced the next epoch's graph.
     """
 
     epoch: int
     inserts: int
     deletes: int
+
+
+class EpochClock:
+    """A replay's one time line: each epoch laid after the one before.
+
+    Fed every event of a stream in order, :meth:`at` returns its instant on
+    the run-wide axis; an :class:`EpochMark` moves the origin (``offset``)
+    to the finished epoch's end.  A static run's times pass through as
+    they are, and the events stay raw (digests hash them as emitted).
+    """
+
+    __slots__ = ("offset",)
+
+    def __init__(self) -> None:
+        self.offset = 0.0
+
+    def at(self, event: TraceEvent) -> float:
+        t = event.t + self.offset
+        if isinstance(event, EpochMark):
+            self.offset = t
+        return t
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ in Perfetto or ``chrome://tracing``:
   threads.
 
 Timestamps are exported in microseconds (the format's unit) from simulated
-nanoseconds.  Serialization uses sorted keys and fixed separators so the
+nanoseconds, on the run's one time line
+(:class:`~repro.obs.events.EpochClock`: an edit replay's epochs end to end).  Serialization uses sorted keys and fixed separators so the
 same event stream always produces byte-identical JSON — re-running a
 seeded simulation and diffing the files is a determinism check.
 
@@ -29,6 +30,7 @@ from repro.obs.collector import Collector
 from repro.obs.events import (
     Barrier,
     EmptyPop,
+    EpochClock,
     GenerationEnd,
     GenerationStart,
     KernelLaunch,
@@ -53,6 +55,26 @@ def _us(t_ns: float) -> float:
     return t_ns / 1e3
 
 
+def _thread_name(tid: int, name: str) -> dict[str, Any]:
+    return {"name": "thread_name", "ph": "M", "pid": _PID, "tid": tid, "args": {"name": name}}
+
+
+def _span(name: str, tid: int, start_ns: float, dur_ns: float, args: dict) -> dict[str, Any]:
+    """A complete ("X") event."""
+    return {
+        "name": name, "ph": "X", "pid": _PID, "tid": tid,
+        "ts": _us(start_ns), "dur": _us(dur_ns), "args": args,
+    }
+
+
+def _instant(name: str, scope: str, tid: int, t_ns: float, args: dict) -> dict[str, Any]:
+    """An instant ("i") event; ``scope`` is ``"t"`` (thread) or ``"p"`` (process)."""
+    return {
+        "name": name, "ph": "i", "s": scope, "pid": _PID, "tid": tid,
+        "ts": _us(t_ns), "args": args,
+    }
+
+
 def to_chrome_trace(
     collector: Collector, *, process_name: str = "repro", trace_id: str | None = None
 ) -> dict:
@@ -64,169 +86,64 @@ def to_chrome_trace(
     (:func:`repro.dash.trace.trace_to_chrome`) without touching the
     digest-pinned event stream itself.
     """
-    trace: list[dict[str, Any]] = []
+    trace: list[dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "pid": _PID, "args": {"name": process_name}},
+        _thread_name(_SCHED_TID, "scheduler"),
+    ]
     queue_tids: dict[str, int] = {}
 
     def queue_tid(name: str) -> int:
         tid = queue_tids.get(name)
         if tid is None:
-            tid = _QUEUE_TID_BASE + len(queue_tids)
-            queue_tids[name] = tid
-            trace.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": _PID,
-                    "tid": tid,
-                    "args": {"name": f"queue {name}"},
-                }
-            )
+            tid = queue_tids[name] = _QUEUE_TID_BASE + len(queue_tids)
+            trace.append(_thread_name(tid, f"queue {name}"))
         return tid
-
-    trace.append(
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": _PID,
-            "args": {"name": process_name},
-        }
-    )
-    trace.append(
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": _SCHED_TID,
-            "args": {"name": "scheduler"},
-        }
-    )
 
     # worker task spans (one "X" event per task)
     workers_seen: set[int] = set()
     for span in collector.task_spans():
         if span.worker not in workers_seen:
             workers_seen.add(span.worker)
-            trace.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": _PID,
-                    "tid": span.worker,
-                    "args": {"name": f"worker {span.worker}"},
-                }
-            )
-        trace.append(
-            {
-                "name": "task",
-                "ph": "X",
-                "pid": _PID,
-                "tid": span.worker,
-                "ts": _us(span.start),
-                "dur": _us(span.duration),
-                "args": {"items": span.items, "retired": span.retired},
-            }
-        )
+            trace.append(_thread_name(span.worker, f"worker {span.worker}"))
+        trace.append(_span(
+            "task", span.worker, span.start, span.duration,
+            {"items": span.items, "retired": span.retired},
+        ))
 
-    open_generations: dict[int, GenerationStart] = {}
+    clock = EpochClock()
+    open_generations: dict[int, tuple[float, int]] = {}
     for e in collector.events:
+        t = clock.at(e)
         if isinstance(e, TaskRead):
-            trace.append(
-                {
-                    "name": "read",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID,
-                    "tid": e.worker,
-                    "ts": _us(e.t),
-                    "args": {"items": e.items},
-                }
-            )
-        elif isinstance(e, KernelLaunch):
-            trace.append(
-                {
-                    "name": "kernel launch",
-                    "ph": "X",
-                    "pid": _PID,
-                    "tid": _SCHED_TID,
-                    "ts": _us(e.t),
-                    "dur": _us(e.duration_ns),
-                    "args": {},
-                }
-            )
-        elif isinstance(e, Barrier):
-            trace.append(
-                {
-                    "name": "barrier",
-                    "ph": "X",
-                    "pid": _PID,
-                    "tid": _SCHED_TID,
-                    "ts": _us(e.t),
-                    "dur": _us(e.duration_ns),
-                    "args": {},
-                }
-            )
+            trace.append(_instant("read", "t", e.worker, t, {"items": e.items}))
+        elif isinstance(e, (KernelLaunch, Barrier)):
+            name = "kernel launch" if isinstance(e, KernelLaunch) else "barrier"
+            trace.append(_span(name, _SCHED_TID, t, e.duration_ns, {}))
         elif isinstance(e, GenerationStart):
-            open_generations[e.generation] = e
+            open_generations[e.generation] = (t, e.items)
         elif isinstance(e, GenerationEnd):
             start = open_generations.pop(e.generation, None)
             if start is not None:
-                trace.append(
-                    {
-                        "name": f"generation {e.generation}",
-                        "ph": "X",
-                        "pid": _PID,
-                        "tid": _SCHED_TID,
-                        "ts": _us(start.t),
-                        "dur": _us(e.t - start.t),
-                        "args": {"items": start.items},
-                    }
-                )
+                trace.append(_span(
+                    f"generation {e.generation}", _SCHED_TID, start[0], t - start[0],
+                    {"items": start[1]},
+                ))
         elif isinstance(e, EmptyPop):
-            trace.append(
-                {
-                    "name": "empty pop",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": _PID,
-                    "tid": queue_tid(e.queue),
-                    "ts": _us(e.t),
-                    "args": {},
-                }
-            )
+            trace.append(_instant("empty pop", "t", queue_tid(e.queue), t, {}))
         elif isinstance(e, QueueSteal):
-            trace.append(
-                {
-                    "name": "steal",
-                    "ph": "i",
-                    "s": "p",
-                    "pid": _PID,
-                    "tid": _SCHED_TID,
-                    "ts": _us(e.t),
-                    "args": {"thief": e.thief, "victim": e.victim, "items": e.items},
-                }
-            )
+            trace.append(_instant(
+                "steal", "p", _SCHED_TID, t,
+                {"thief": e.thief, "victim": e.victim, "items": e.items},
+            ))
         elif isinstance(e, PolicySwitch):
-            trace.append(
-                {
-                    "name": f"switch to {e.policy}",
-                    "ph": "i",
-                    "s": "p",
-                    "pid": _PID,
-                    "tid": _SCHED_TID,
-                    "ts": _us(e.t),
-                    "args": {"generation": e.generation, "items": e.items},
-                }
-            )
+            trace.append(_instant(
+                f"switch to {e.policy}", "p", _SCHED_TID, t,
+                {"generation": e.generation, "items": e.items},
+            ))
 
     for t, depth in collector.queue_depth_series():
         trace.append(
-            {
-                "name": "queue depth",
-                "ph": "C",
-                "pid": _PID,
-                "ts": _us(t),
-                "args": {"items": depth},
-            }
+            {"name": "queue depth", "ph": "C", "pid": _PID, "ts": _us(t), "args": {"items": depth}}
         )
 
     other: dict[str, Any] = {"digest": collector.digest(), "events": len(collector.events)}

@@ -37,7 +37,6 @@ def _ms(ns: float) -> str:
 
 def format_profile(
     collector: Collector,
-    result=None,
     *,
     elapsed_ns: float | None = None,
     worker_slots: int | None = None,
@@ -45,23 +44,11 @@ def format_profile(
 ) -> str:
     """Render the top-time-sinks table plus a worker-occupancy summary.
 
-    ``result`` — a :class:`~repro.core.engine.RunResult` or
-    :class:`~repro.apps.common.AppResult` — supplies ``elapsed_ns``,
-    ``worker_slots`` and the configuration name directly, so callers no
-    longer thread ``res.elapsed_ns`` / ``res.extra["worker_slots"]`` by
-    hand.  The explicit keyword arguments still work and take precedence.
+    ``elapsed_ns`` is the run's wall time (an edit replay's
+    ``replay_total_elapsed_ns``; default: the collector's
+    :meth:`~repro.obs.collector.Collector.end_time`) and ``worker_slots``
+    its slot count (default: the workers observed).
     """
-    if result is not None:
-        if elapsed_ns is None:
-            elapsed_ns = result.elapsed_ns
-        extra = getattr(result, "extra", None)
-        if worker_slots is None:
-            if extra is not None:
-                worker_slots = extra.get("worker_slots")
-            else:
-                worker_slots = getattr(result, "worker_slots", None)
-        if not config_name:
-            config_name = getattr(result, "impl", "") or getattr(result, "config_name", "")
     # deferred: analysis imports the apps package, whose kernels import the
     # scheduler, which imports repro.obs — a module-level import here would
     # close that cycle

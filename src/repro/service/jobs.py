@@ -234,9 +234,10 @@ def validate_spec(spec: RunSpec) -> None:
         raise JobSpecError(f"app {spec.app!r} is BSP-only; use config 'BSP'")
     if spec.params:
         # the keywords of the call the run makes: the BSP runner or the
-        # kernel factory, minus the graph and the simulated GPU it is given
+        # kernel factory, minus the graph, the simulated GPU and the event
+        # sink the run path gives it
         entry = adapter.bsp if app_level else adapter.make_kernel
-        taken = set(inspect.signature(entry).parameters) - {"graph", "spec"}
+        taken = set(inspect.signature(entry).parameters) - {"graph", "spec", "sink"}
         unknown = sorted(set(dict(spec.params)) - taken)
         if unknown:
             raise JobSpecError(
@@ -330,7 +331,7 @@ def execute_spec(
     The only code that turns a :class:`RunSpec` into a result: the Lab,
     parallel sweeps, the broker's executor threads and every CLI command
     that runs a named cell (``run``, ``trace``, ``metrics``, ``dash
-    --app``, the oracle pass of ``check``) call it.  It holds no state — graphs come from the locked
+    --app``, the BSP pass of ``check``) call it.  It holds no state — graphs come from the locked
     process-wide build cache — so callers may memoise on the spec and
     threads may share it.  ``sink``, ``validate`` (answer oracle plus
     invariant monitor) and ``metrics`` (streaming telemetry) only observe

@@ -210,8 +210,11 @@ class TestNegativeCc:
         assert "edge-agreement" in failures
 
     def test_non_min_label_detected(self, grid):
-        labels = np.full(grid.num_vertices, 1, dtype=np.int64)
-        assert "labels-are-min-ids" in _failing_checks("cc", grid, labels)
+        n = grid.num_vertices
+        # a label above every member, one past the last vertex, one negative
+        for label in (1, n, -1):
+            labels = np.full(n, label, dtype=np.int64)
+            assert "labels-are-min-ids" in _failing_checks("cc", grid, labels), label
 
 
 class TestNegativeColoring:

@@ -1,5 +1,8 @@
 """Tests for the command-line entry point (python -m repro)."""
 
+import json
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -51,13 +54,9 @@ REFUSALS = [
     (["trace", "nope", "rmat8"], "invalid choice: 'nope'"),
     (["trace", "bfs", "nope"], "unknown dataset 'nope'"),
     (["trace", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
-    (["trace", "bfs-inc", "rmat8"], "dynamic app"),
-    (["trace", "bfs", "rmat8", "--config", "BSP"], "application level"),
     (["metrics", "nope", "rmat8"], "unknown app 'nope'"),
     (["metrics", "bfs", "nope"], "unknown dataset 'nope'"),
     (["metrics", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
-    (["metrics", "bfs", "rmat8", "--config", "BSP"], "application level"),
-    (["metrics", "cc-inc", "rmat8"], "dynamic app"),
     (["check", "nope", "rmat8"], "invalid choice: 'nope'"),
     (["check", "bfs", "nope"], "unknown dataset 'nope'"),
     (["check", "bfs", "rmat8", "--config", "nope"], "unknown config 'nope'"),
@@ -67,8 +66,6 @@ REFUSALS = [
     (["dash", "--app", "bfs", "--dataset", "nope"], "unknown dataset 'nope'"),
     (["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "nope"],
      "unknown config 'nope'"),
-    (["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "BSP"], "application level"),
-    (["dash", "--app", "pagerank-inc", "--dataset", "rmat8"], "dynamic app"),
     # submit refuses locally, before it looks for a service
     (["submit", "nosuchapp", "roadNet-CA"], "unknown app 'nosuchapp'"),
     (["submit", "bfs", "nope"], "unknown dataset 'nope'"),
@@ -87,6 +84,39 @@ def test_bad_cell_is_a_one_line_refusal(argv, message, tmp_path, monkeypatch, ca
     assert err.startswith(f"python -m repro {argv[0]}: error: ") and err.count("\n") == 1
     assert message in err
     assert not list(tmp_path.iterdir()), "a refused command wrote a file"
+
+
+# a BSP config and an edit replay each reach the sink of every command
+# that observes a run: the BSP timeline emits the engine's event types, and
+# an epoch clock lays a replay's epochs end to end
+OBSERVED = [
+    ["trace", "bfs", "rmat8", "--config", "BSP"],
+    ["trace", "bfs-inc", "rmat8"],
+    ["metrics", "bfs", "rmat8", "--config", "BSP"],
+    ["metrics", "cc-inc", "rmat8"],
+    ["dash", "--app", "bfs", "--dataset", "rmat8", "--config", "BSP"],
+    ["dash", "--app", "pagerank-inc", "--dataset", "rmat8"],
+]
+
+
+@pytest.mark.parametrize("argv", OBSERVED, ids=" ".join)
+def test_bsp_and_replay_cells_are_observed(argv, tmp_path, monkeypatch, capsys):
+    from repro.metrics import validate_summary
+
+    monkeypatch.chdir(tmp_path)
+    out_flag = ["--out", "summary.json"] if argv[0] == "metrics" else []
+    assert main([*argv, *out_flag, "--size", "tiny"]) == 0
+    if argv[0] == "trace":
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert {"task", "kernel launch"} <= {e["name"] for e in doc["traceEvents"]}
+    elif argv[0] == "metrics":
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert validate_summary(summary) == []
+        assert summary["counters"]["task_completes"] > 0
+        assert summary["counters"]["kernel_launches"] > 0
+    else:
+        events = re.search(r": (\d+) events -> ", capsys.readouterr().out)
+        assert events and int(events.group(1)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,14 @@ class TestMergedChrome:
         assert engine_doc["otherData"]["events"] > 0
         assert engine_doc["otherData"]["digest"]
 
+    def test_trace_events_capture_bsp_kernels(self):
+        config = BrokerConfig(workers=1, trace_events=True)
+        result, doc = _submit_one(config, RunSpec(app="bfs", impl="BSP", **TINY))
+        merged = trace_to_chrome(doc)
+        launches = [e for e in merged["traceEvents"] if e.get("name") == "kernel launch"]
+        assert len(launches) == result.kernel_launches > 0
+        assert {e["pid"] for e in launches} == {2}
+
     def test_merged_chrome_doc_spans_both_clocks(self):
         config = BrokerConfig(workers=1, trace_events=True)
         result, doc = _submit_one(config, RunSpec(app="bfs", **TINY))

@@ -350,32 +350,98 @@ def test_cta_worker_cell_matches_golden(app, dataset, preset):
     assert result_digest(res) == rdigest, f"{app}/{dataset}/{preset}: result diverged"
 
 
-# Every BSP runner: result_digest per cell (BSP runs emit no engine
-# events), captured with the same code as the table above.
+# Every BSP runner: (Collector digest, result_digest) per cell, like the
+# table above.  The stream is the one BspTimeline emits with a sink
+# attached; the result digests predate it and did not move when it landed.
 GOLDEN_BSP = {
-    ("bfs", "roadNet-CA"): "9dddf9ef1dc5397f",
-    ("bfs", "soc-LiveJournal1"): "b703a083b34337aa",
-    ("cc", "roadNet-CA"): "bd88ff52a0e0dee3",
-    ("cc", "soc-LiveJournal1"): "0e54a8f6448fd2e8",
-    ("coloring", "roadNet-CA"): "b6ccf8963b55975e",
-    ("coloring", "soc-LiveJournal1"): "484db3c756a1d6fe",
-    ("delta-sssp", "roadNet-CA"): "b3ad2068f9c2247a",
-    ("delta-sssp", "soc-LiveJournal1"): "ad30b2e559771e6f",
-    ("kcore", "roadNet-CA"): "be0c6d738d1c20e0",
-    ("kcore", "soc-LiveJournal1"): "7b2cc9f7b1f12105",
-    ("mis", "roadNet-CA"): "e6012e98716510c9",
-    ("mis", "soc-LiveJournal1"): "80c42c38af000112",
-    ("pagerank", "roadNet-CA"): "6574faece1c1b816",
-    ("pagerank", "soc-LiveJournal1"): "d6045ce43197bf71",
-    ("sssp", "roadNet-CA"): "3dbc96e0310de4c6",
-    ("sssp", "soc-LiveJournal1"): "27dd2e9fe0460941",
+    ("bfs", "roadNet-CA"): (
+        "ba14d236b017d2221c0d0843e8903d9ca2a6c40ffc06aea4eca7d8b7263ac47f",
+        "9dddf9ef1dc5397f",
+    ),
+    ("bfs", "soc-LiveJournal1"): (
+        "02fc93e4c0b29b3d33b99f804e9f229aac7e7e6edd7e5132b04878bd1ecd2c89",
+        "b703a083b34337aa",
+    ),
+    ("cc", "roadNet-CA"): (
+        "3faaebfa28a53104519e14e1b0215f785611c914372b836cf813d7f759b3e1d5",
+        "bd88ff52a0e0dee3",
+    ),
+    ("cc", "soc-LiveJournal1"): (
+        "d2551fdbc86a66ffcc53e898068d432d963f68a7e60c80c02dd3a0fc006a2d17",
+        "0e54a8f6448fd2e8",
+    ),
+    ("coloring", "roadNet-CA"): (
+        "0b414d2e03caa1004374905e90b0419784c475245a147481b12e6926a0391086",
+        "b6ccf8963b55975e",
+    ),
+    ("coloring", "soc-LiveJournal1"): (
+        "ff3dbf0978e0f26651dda2c86fab4dcd082ad71d030fe18d37e4008b3877935a",
+        "484db3c756a1d6fe",
+    ),
+    ("delta-sssp", "roadNet-CA"): (
+        "ce574c5accd1a9958f0a0571581366933c64d13bd4570617f0365464a3e3dd96",
+        "b3ad2068f9c2247a",
+    ),
+    ("delta-sssp", "soc-LiveJournal1"): (
+        "980ff51835f1f9b424eb2da098d8f5bee7a4394d937368fbc4c06935c10863dd",
+        "ad30b2e559771e6f",
+    ),
+    ("kcore", "roadNet-CA"): (
+        "ff2904f61324af299a8b87796922428d2e919f2d9e6e8f28863d44d3d58d845b",
+        "be0c6d738d1c20e0",
+    ),
+    ("kcore", "soc-LiveJournal1"): (
+        "ddb256c9a58665fff3350b03b21cb02c024d8243473983d65202d7a98cb3cd32",
+        "7b2cc9f7b1f12105",
+    ),
+    ("mis", "roadNet-CA"): (
+        "96086805f19aab00bf6a6ed30eeafcdf250c02fc3b8bf7b0135be76cf8c236fe",
+        "e6012e98716510c9",
+    ),
+    ("mis", "soc-LiveJournal1"): (
+        "91cbb325924516bb28507c7a206c6e7e34e2bde2382395d361e71a30931c62b8",
+        "80c42c38af000112",
+    ),
+    ("pagerank", "roadNet-CA"): (
+        "47973263c1a020abf2e07578ac01f6c2be487ff7bdac8df4512decf93a0de251",
+        "6574faece1c1b816",
+    ),
+    ("pagerank", "soc-LiveJournal1"): (
+        "a4a51c8b31acd5d9f3dac10bf26b563e165b4b65051be3e3055772295243a996",
+        "d6045ce43197bf71",
+    ),
+    ("sssp", "roadNet-CA"): (
+        "ce574c5accd1a9958f0a0571581366933c64d13bd4570617f0365464a3e3dd96",
+        "3dbc96e0310de4c6",
+    ),
+    ("sssp", "soc-LiveJournal1"): (
+        "980ff51835f1f9b424eb2da098d8f5bee7a4394d937368fbc4c06935c10863dd",
+        "27dd2e9fe0460941",
+    ),
 }
 
 
+def _run_bsp_observed(spec: RunSpec):
+    """``(result, stream digest)`` of a BSP spec run with every sink attached.
+
+    ``validate`` attaches the invariant monitor, which reconciles
+    ``items_retired`` and ``kernel_launches`` from the stream; the metrics
+    summary must count the same.
+    """
+    sink = Collector()
+    res = execute_spec(spec, sink=sink, validate=True, metrics=True)
+    counters = res.extra["metrics"]["counters"]
+    assert counters["kernel_launches"] == res.kernel_launches
+    assert counters["items_retired"] == res.items_retired
+    return res, sink.digest()
+
+
 @pytest.mark.parametrize("app,dataset", sorted(GOLDEN_BSP))
-def test_bsp_runner_matches_golden(lab, app, dataset):
-    res = lab.run(app, dataset, "BSP")
-    assert result_digest(res) == GOLDEN_BSP[(app, dataset)], f"{app}/{dataset}/BSP diverged"
+def test_bsp_runner_matches_golden(app, dataset):
+    res, digest = _run_bsp_observed(RunSpec(app, dataset, "BSP", size="tiny"))
+    golden, rdigest = GOLDEN_BSP[(app, dataset)]
+    assert digest == golden, f"{app}/{dataset}/BSP: event stream diverged"
+    assert result_digest(res) == rdigest, f"{app}/{dataset}/BSP diverged"
 
 
 # Direction-optimized BFS (Beamer push/pull, impl "BSP-DO"): the BSP BFS
@@ -392,7 +458,7 @@ def bsp_do_spec(dataset: str, size: str = "small") -> RunSpec:
 
 @pytest.mark.parametrize("dataset", sorted(GOLDEN_BSP_DO))
 def test_direction_optimized_bsp_matches_golden(dataset):
-    res = execute_spec(bsp_do_spec(dataset, "tiny"))
+    res, _ = _run_bsp_observed(bsp_do_spec(dataset, "tiny"))
     assert res.impl == "BSP-DO"
     assert result_digest(res) == GOLDEN_BSP_DO[dataset], f"bfs/{dataset}/BSP-DO diverged"
 

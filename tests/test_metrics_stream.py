@@ -418,9 +418,14 @@ class TestSummary:
         assert doc["size"] == "tiny"
         assert doc["app"] == "bfs" and doc["config"] == "persist-warp"
 
-    def test_bsp_policy_rejects_metrics(self):
-        with pytest.raises(ValueError, match="application level"):
-            execute_spec(RunSpec("bfs", "roadNet-CA", "BSP", size="tiny"), metrics=True)
+    def test_bsp_policy_streams_metrics(self):
+        result = execute_spec(RunSpec("bfs", "roadNet-CA", "BSP", size="tiny"), metrics=True)
+        doc = result.extra["metrics"]
+        assert validate_summary(doc) == []
+        assert doc["elapsed_ns"] == result.elapsed_ns
+        assert doc["counters"]["kernel_launches"] == result.kernel_launches
+        assert doc["counters"]["items_retired"] == result.items_retired
+        assert doc["counters"]["generations"] == result.iterations
 
     def test_validate_catches_drift(self, summary):
         broken = json.loads(json.dumps(summary))

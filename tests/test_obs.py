@@ -8,6 +8,7 @@ trace-event JSON — byte-identical across re-runs.
 """
 
 import json
+import re
 
 import pytest
 
@@ -238,24 +239,36 @@ class TestMultiSink:
         assert result.items_retired > 0
 
 
-class TestFormatProfileResult:
-    def test_accepts_run_result_directly(self):
-        res, sink = _traced_bfs(PERSIST_WARP)
-        via_result = format_profile(sink, res)
-        via_kwargs = format_profile(
-            sink,
-            elapsed_ns=res.elapsed_ns,
-            worker_slots=res.extra["worker_slots"],
-            config_name=res.impl,
-        )
-        assert via_result == via_kwargs
-        assert PERSIST_WARP.name in via_result
+class TestReplayTimeline:
+    """An edit replay's derived views lie on one time line, epoch after epoch."""
 
-    def test_explicit_kwargs_take_precedence(self):
-        res, sink = _traced_bfs(PERSIST_WARP)
-        text = format_profile(sink, res, config_name="override")
-        assert "override" in text
-        assert PERSIST_WARP.name not in text
+    @pytest.fixture(scope="class")
+    def traced(self):
+        from repro.metrics.sink import MetricsSink
+        from repro.service.jobs import RunSpec, execute_spec
+
+        sink, metrics = Collector(), MetricsSink()
+        spec = RunSpec("bfs-inc", "rmat8", edits="2x8@1", size="tiny")
+        return execute_spec(spec, sink=sink, metrics=metrics), sink, metrics
+
+    def test_last_span_ends_at_replay_total(self, traced):
+        res, sink, metrics = traced
+        total = res.extra["replay_total_elapsed_ns"]
+        assert sink.task_spans()[-1].end == total
+        assert sink.end_time() == metrics.end_t
+        tasks = [e for e in to_chrome_trace(sink)["traceEvents"] if e["name"] == "task"]
+        assert max(e["ts"] + e["dur"] for e in tasks) == pytest.approx(total / 1e3)
+
+    def test_no_worker_summary_exceeds_one(self, traced, tmp_path, capsys):
+        from repro.dash import collector_snapshot
+
+        res, sink, _ = traced
+        occupancy = collector_snapshot(sink, res)["engine"]["occupancy"]
+        assert occupancy and max(u for _, u in occupancy) <= 1.0
+        out = str(tmp_path / "trace.json")
+        assert cli.main(["trace", "bfs-inc", "rmat8", "--size", "tiny", "--out", out]) == 0
+        shown = re.search(r"max utilization\s*\|\s*([\d.]+)", capsys.readouterr().out)
+        assert 0.0 < float(shown.group(1)) <= 1.0
 
 
 class TestChromeTraceSchema:

@@ -195,6 +195,8 @@ def _specs_of(monkeypatch, argv: list[str]) -> tuple[list, list]:
     ("bfs", "roadnet_ca_sim", "persist-warp"),
     ("pagerank", "soc-LiveJournal1", "hybrid-cta"),  # --config is case-insensitive
     ("cc", "rmat8", "discrete-CTA"),
+    ("bfs", "rmat8", "BSP"),
+    ("bfs-inc", "rmat8", "persist-CTA"),  # the default edit script
 ])
 def test_observed_commands_run_the_spec_repro_run_builds(
     app, dataset, config, tmp_path, monkeypatch
@@ -221,7 +223,7 @@ def test_check_replays_the_spec_repro_run_builds(monkeypatch):
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(spec=tiny_specs().filter(lambda s: s.impl != "BSP"))
+@given(spec=tiny_specs())
 def test_attached_sinks_leave_the_digest_alone(spec):
     from repro.check.invariants import InvariantMonitor
     from repro.metrics import MetricsSink

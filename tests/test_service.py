@@ -602,6 +602,11 @@ class TestHttp:
              {"job": {"app": "cc", "dataset": "roadNet-CA", "config": "BSP",
                       "size": "tiny", "params": {"source": 0}}},
              400, "unknown param(s) 'source'"),
+            # the run path hands every BSP runner its sink itself
+            ("POST", "/v1/jobs",
+             {"job": {"app": "bfs", "dataset": "roadNet-CA", "config": "BSP",
+                      "size": "tiny", "params": {"sink": 1}}},
+             400, "unknown param(s) 'sink'"),
         ],
     )
     def test_error_statuses(self, method, path, body, status, fragment):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.obs import Collector, TaskComplete
 from repro.perf.bench import bench_cells
 from repro.service.jobs import RunSpec, execute_spec
 from repro.sim.trace import ThroughputSeries, ThroughputTrace
@@ -137,14 +138,18 @@ def _accounting_cells() -> list[RunSpec]:
     ids=lambda c: "-".join([c.app, c.dataset, c.impl, *(f"{k}={v}" for k, v in c.params)]),
 )
 def test_trace_accounts_for_every_completion(spec):
-    """One sample per engine task; the columns sum to the run's counters.
+    """The stream's completions carry the trace, sample for sample.
 
-    perfbench pins ``len(result.trace.times)`` as ``trace_samples``: this
-    is the number a completion count would have to keep.
+    Engine tasks and BSP kernels alike: every ``TaskComplete`` is one
+    ``(t, retired, work)`` sample, in order, and the columns sum to the
+    run's counters.  perfbench pins ``len(result.trace.times)`` as
+    ``trace_samples``: this is the number a completion count would have
+    to keep.
     """
-    res = execute_spec(dataclasses.replace(spec, size="tiny"))
-    if spec.impl != "BSP":
-        assert len(res.trace.times) == res.extra["total_tasks"]
+    sink = Collector()
+    res = execute_spec(dataclasses.replace(spec, size="tiny"), sink=sink)
+    completions = [(e.t, e.retired, e.work) for e in sink.events_of(TaskComplete)]
+    assert completions == list(zip(res.trace.times, res.trace.items, res.trace.work))
     assert sum(res.trace.items) == res.items_retired
     assert sum(res.trace.work) == res.work_units
 
